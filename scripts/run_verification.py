@@ -2,7 +2,7 @@
 """Run the full verification battery and write one JSON report per suite.
 
 The exact algebra run dominates the runtime (about 30 s at 1000 trials on
-a 2-vCPU host, of about 70 s for the whole battery); --skip-exact drops it
+a 2-vCPU host, of about 55 s for the whole battery); --skip-exact drops it
 when iterating on the sphere suites.
 """
 

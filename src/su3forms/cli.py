@@ -62,6 +62,8 @@ class SuiteConfig:
             return f"unknown suite {self.suite!r}"
         if self.trials < 1:
             return "trials must be at least 1"
+        if self.samples < 1:
+            return "samples must be at least 1"
         if not MIN_STEP < self.h < 1e-1:
             return f"step {self.h} outside the usable range ({MIN_STEP:g}, 0.1)"
         if self.mode not in (EXACT, FLOAT):

@@ -32,7 +32,7 @@ from su3forms.forms import (
     scalar_zero,
     wedge,
 )
-from su3forms.report import CheckResult, VerificationReport
+from su3forms.report import CheckResult, VerificationReport, require_count
 from su3forms.structure import (
     TYPE_EIGENVALUES,
     Endo,
@@ -397,14 +397,15 @@ def run_algebra_suite(
     (a nonzero rational too small for a float still fails); float mode allows
     1e-12.  The report carries each worst residual as a float.  Its step
     field is null (no discretization is involved) and samples carries the
-    trial count.
+    trial count.  A NaN residual stays the worst one, so its check fails.
     """
+    require_count("trials", trials)
     rng = random.Random(seed)
     worst = {name: scalar_zero(mode) for name, _ in CHECKS}
     for _ in range(trials):
         for name, fn in CHECKS:
             r = fn(rng, mode)
-            if r > worst[name]:
+            if r > worst[name] or r != r:
                 worst[name] = r
     if mode == EXACT:
         passed = {name: r == 0 for name, r in worst.items()}

@@ -71,6 +71,13 @@ class VerificationReport:
         return lines
 
 
+def require_count(name: str, value: int) -> None:
+    """Reject a run with no trials or samples: a check that saw no data
+    would report residual 0 and pass."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def observed_order(residual_h: float, residual_half: float) -> float | None:
     """log2 ratio of residuals under step halving, or None at roundoff floor."""
     if residual_h < ORDER_FLOOR or residual_half < ORDER_FLOOR:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -169,26 +169,68 @@ def endo_act_ambient(m: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
 
 
 @cache
-def _minor_rows(n: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    r = np.array(combos(n, k), dtype=int).reshape(-1, k)
-    c = np.array(combos(m, k), dtype=int).reshape(-1, k)
-    return r, c
+def _laplace_table(n: int, m: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather and sign tables for the Laplace expansion of d x d minors.
+
+    Minors of an n x m matrix are kept flat: row combination major, column
+    combination minor, both in lex order.  Expanding the minor at flat
+    position t along its first row r_0, term j is
+
+        signs[j] * entries[ent[j, t]] * minors_{d-1}[sub[j, t]],
+
+    where entries is the flattened matrix, ent[j, t] points at (r_0, c_j)
+    and sub[j, t] at the (d-1)-minor without row r_0 and column c_j.
+    """
+    prev_rows = {r: i for i, r in enumerate(combos(n, d - 1))}
+    prev_cols = {c: i for i, c in enumerate(combos(m, d - 1))}
+    ent = np.zeros((d, len(combos(n, d)) * len(combos(m, d))), dtype=int)
+    sub = np.zeros_like(ent)
+    for t, (r, c) in enumerate(product(combos(n, d), combos(m, d))):
+        rest = prev_rows[r[1:]] * len(prev_cols)
+        for j in range(d):
+            ent[j, t] = r[0] * m + c[j]
+            sub[j, t] = rest + prev_cols[c[:j] + c[j + 1:]]
+    signs = np.array([(-1) ** j for j in range(d)])
+    for table in (ent, sub, signs):
+        table.setflags(write=False)
+    return ent, sub, signs
+
+
+def compound(v: np.ndarray, k: int) -> np.ndarray:
+    """All k x k minors of v, shape (..., n, m) -> (..., C(n,k), C(m,k)).
+
+    Rows and columns of the result follow the lex combination order.  Degree
+    d is built from degree d - 1 by Laplace expansion along the first row,
+    one gather-multiply-add per expansion term.
+    """
+    *lead, n, m = v.shape
+    if k == 0:
+        return np.ones((*lead, 1, 1))
+    entries = v.reshape(*lead, n * m)
+    minors = entries
+    for d in range(2, k + 1):
+        ent, sub, signs = _laplace_table(n, m, d)
+        acc = np.zeros((*lead, ent.shape[1]))
+        for j in range(d):
+            term = entries.take(ent[j], axis=-1)
+            term *= minors.take(sub[j], axis=-1)
+            if signs[j] > 0:
+                acc += term
+            else:
+                acc -= term
+        minors = acc
+    return minors.reshape(*lead, len(combos(n, k)), len(combos(m, k)))
 
 
 def pullback_form(coeffs: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
     """Pullback of a k-form along the linear map with matrix v.
 
-    v has shape (n, m) and maps m-dimensional vectors into the n-dimensional
-    space the form lives on; the result is a k-form in m dimensions, with
-    coefficients built from k x k minors of v.
+    v has shape (..., n, m) and maps m-dimensional vectors into the
+    n-dimensional space the form lives on; the result is a k-form in m
+    dimensions, with coefficients built from k x k minors of v.  Leading
+    axes of coeffs (..., C(n,k)) and v broadcast against each other.
     """
-    n, m = v.shape
-    if k == 0:
-        return coeffs.copy()
-    rows, cols = _minor_rows(n, m, k)
-    sub = v[rows[:, None, :, None], cols[None, :, None, :]]
-    dets = np.linalg.det(sub)
-    return coeffs @ dets
+    return (coeffs[..., None, :] @ compound(v, k))[..., 0, :]
 
 
 def form_from_frame_coeffs(coeffs: np.ndarray, k: int) -> Form:
@@ -235,14 +277,30 @@ def omega_ambient(q: np.ndarray) -> np.ndarray:
     return contract_ambient(q, associative_three_form(), 3)
 
 
+@cache
+def _psi_minus_table() -> np.ndarray:
+    """(7, 35) matrix of the linear map q -> psi_minus_ambient(q).
+
+    Row l is one third of the derivation action of A = e_l x . on phi,
+    A . phi = -sum_i (A^T e_i)^flat ^ (e_i -| phi), with A^T e_i = e_i x e_l.
+    """
+    phi = associative_three_form()
+    contractions = np.einsum("iac,a->ic", _contract_table(AMBIENT_DIM, 3), phi)
+    wedges = np.einsum("rcb,ic->irb", _wedge_table(AMBIENT_DIM, 1, 2), contractions)
+    table = -np.einsum("lri,irb->lb", cross_tensor(), wedges) / 3.0
+    table.setflags(write=False)
+    return table
+
+
 def psi_minus_ambient(q: np.ndarray) -> np.ndarray:
     """Ambient 3-form restricting to psi_minus on the tangent space at q.
 
     The slot insertions of J into the restriction of phi agree with one
     another, so the derivation action of q x . computes three times the
-    J-insertion; one third of it restricts to -psi_plus(J ., ., .).
+    J-insertion; one third of it restricts to -psi_plus(J ., ., .).  That
+    action is linear in q, so it is read off a cached table.
     """
-    return endo_act_ambient(cross_matrix(q), associative_three_form(), 3) / 3.0
+    return q @ _psi_minus_table()
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +313,7 @@ class Chart:
 
     from_chart(u) = normalize(p + B u) with B an orthonormal tangent basis;
     to_chart is its exact inverse on the open hemisphere around p.
+    from_chart and differential take chart points u of shape (..., 6).
     """
 
     p: np.ndarray
@@ -269,17 +328,19 @@ class Chart:
         return cls(p, h[:, 1:])
 
     def from_chart(self, u: np.ndarray) -> np.ndarray:
-        return normalize(self.p + self.basis @ u)
+        w = self.p + u @ self.basis.T
+        return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
     def to_chart(self, q: np.ndarray) -> np.ndarray:
         return (self.basis.T @ q) / (self.p @ q)
 
     def differential(self, u: np.ndarray) -> np.ndarray:
-        """d(from_chart) at u, a (7, 6) matrix of tangent columns."""
-        w = self.p + self.basis @ u
-        r = np.linalg.norm(w)
+        """d(from_chart) at u, (..., 7, 6) matrices of tangent columns."""
+        w = self.p + u @ self.basis.T
+        r = np.linalg.norm(w, axis=-1, keepdims=True)
         q = w / r
-        return (self.basis - np.outer(q, q @ self.basis)) / r
+        normal = q[..., :, None] * (q @ self.basis)[..., None, :]
+        return (self.basis - normal) / r[..., None]
 
 
 @dataclass(frozen=True)
@@ -378,10 +439,6 @@ class FormField:
     ambient: Callable[[np.ndarray], np.ndarray]
 
 
-def constant_field(coeffs: np.ndarray, degree: int) -> FormField:
-    return FormField(degree, lambda q: coeffs)
-
-
 def omega_field() -> FormField:
     return FormField(2, omega_ambient)
 
@@ -402,12 +459,22 @@ def _check_step(h: float) -> None:
 
 def _frame_change(chart: Chart, frame: AdaptedFrame, k: int) -> np.ndarray:
     """Matrix sending chart components of a k-form to frame components."""
-    if k == 0:
-        return np.eye(1)
-    m = chart.basis.T @ frame.matrix
-    rows, cols = _minor_rows(6, 6, k)
-    sub = m[rows[:, None, :, None], cols[None, :, None, :]]
-    return np.linalg.det(sub)
+    return compound(chart.basis.T @ frame.matrix, k)
+
+
+#: finite-difference taps (multiple of h, weight) and the weights' divisor in
+#: units of h: central differences, and their Richardson extrapolation
+_CENTRAL = (((1.0, 1.0), (-1.0, -1.0)), 2.0)
+_RICHARDSON = (((1.0, 8.0), (-1.0, -8.0), (2.0, -1.0), (-2.0, 1.0)), 12.0)
+
+
+def _stencil(h: float, richardson: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Chart offsets (S, 6) and the (6, S) weights of the partial derivatives."""
+    taps, divisor = _RICHARDSON if richardson else _CENTRAL
+    eye = np.eye(6)
+    offsets = np.concatenate([t * h * eye for t, _ in taps])
+    weights = np.concatenate([w * eye for _, w in taps], axis=1) / (divisor * h)
+    return offsets, weights
 
 
 def ext_d(field: FormField, p: np.ndarray, h: float, richardson: bool = False) -> Form:
@@ -416,38 +483,18 @@ def ext_d(field: FormField, p: np.ndarray, h: float, richardson: bool = False) -
     Differentiates the chart components of the field in the projection chart
     at p and assembles sum_j du^j ^ d/du_j; the result is converted to the
     adapted frame at p.  Second order in h, or fourth with `richardson`.
+    The whole stencil is pulled back to the chart in one batched pass.
     """
     _check_step(h)
     k = field.degree
     chart = Chart.at(p)
     frame = adapted_frame(p)
-
-    def chart_coeffs(u: np.ndarray) -> np.ndarray:
-        q = chart.from_chart(u)
-        return pullback_form(field.ambient(q), k, chart.differential(u))
-
-    n_out = len(combos(6, k + 1))
-    out_index = _combo_index(6, k + 1)
-    six = combos(6, k)
-    d_chart = np.zeros(n_out)
-    for j in range(6):
-        e = np.zeros(6)
-        e[j] = h
-        if richardson:
-            partial = (
-                8.0 * (chart_coeffs(e) - chart_coeffs(-e))
-                - (chart_coeffs(2 * e) - chart_coeffs(-2 * e))
-            ) / (12.0 * h)
-        else:
-            partial = (chart_coeffs(e) - chart_coeffs(-e)) / (2.0 * h)
-        bit = 1 << j
-        for pos, c in enumerate(six):
-            mask = sum(1 << i for i in c)
-            sign = wedge_sign(bit, mask)
-            if sign:
-                d_chart[out_index[bit | mask]] += sign * partial[pos]
-    frame_coeffs = d_chart @ _frame_change(chart, frame, k + 1)
-    return form_from_frame_coeffs(frame_coeffs, k + 1)
+    offsets, weights = _stencil(h, richardson)
+    ambient = np.stack([field.ambient(q) for q in chart.from_chart(offsets)])
+    partials = weights @ pullback_form(ambient, k, chart.differential(offsets))
+    # sum_j du^j ^ partial_j, through the wedge table of 1-forms with k-forms
+    d_chart = np.einsum("jp,jpo->o", partials, _wedge_table(6, 1, k))
+    return form_from_frame_coeffs(d_chart @ _frame_change(chart, frame, k + 1), k + 1)
 
 
 def _transported_frame(p: np.ndarray, x: np.ndarray, t: float, f: np.ndarray):
@@ -474,20 +521,6 @@ def covariant_d(field: FormField, x: np.ndarray, p: np.ndarray, h: float) -> For
     return form_from_frame_coeffs(
         (sample(h) - sample(-h)) / (2.0 * h), field.degree
     )
-
-
-def covariant_d_vector(
-    w: Callable[[np.ndarray], np.ndarray], x: np.ndarray, p: np.ndarray, h: float
-) -> np.ndarray:
-    """Frame components of the Levi-Civita derivative of a tangent field."""
-    _check_step(h)
-    f = adapted_frame(p).matrix
-
-    def sample(t: float) -> np.ndarray:
-        gamma, v = _transported_frame(p, x, t, f)
-        return v.T @ w(gamma)
-
-    return (sample(h) - sample(-h)) / (2.0 * h)
 
 
 def covariant_d_endo(

@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from su3forms.forms import FLOAT, contract, wedge
-from su3forms.report import CheckResult, VerificationReport, observed_order
+from su3forms.forms import FLOAT, Form, contract, wedge
+from su3forms.report import CheckResult, VerificationReport, observed_order, require_count
 from su3forms.structure import (
     alpha_map,
     complex_structure,
@@ -90,6 +90,7 @@ def verify_gray(
     defect="flip_psi_minus" negates the psi_minus field, which a healthy
     suite must flag with an O(1) residual.
     """
+    require_count("samples", samples)
     rng = np.random.default_rng(seed)
     pts = sp.random_points(seed, samples)
     ofield = sp.omega_field()
@@ -139,6 +140,7 @@ def verify_spectral(samples: int = 50, h: float = 1e-3, seed: int = 0) -> Verifi
     harmonic quadratic has eigenvalue 14 = k(k+5).  Residuals are relative
     to the eigenvalue scale max |lambda f| over the sample.
     """
+    require_count("samples", samples)
     pts = sp.random_points(seed, samples)
     worst_lin = [0.0, 0.0]
     worst_quad = [0.0, 0.0]
@@ -255,6 +257,7 @@ def verify_linearized(
 
     defect="scale_psi_plus_dot" multiplies psi_plus_dot by 1.1.
     """
+    require_count("samples", samples)
     bundle = sphere_deformation(a)
     pp_dot = bundle.psi_plus_dot
     if defect == "scale_psi_plus_dot":
@@ -413,6 +416,7 @@ def verify_cl_identities(
     d(phi_0) to have pure symmetric type: d(phi_0) ^ psi_plus = 0,
     d(phi_0) ^ psi_minus = 0, Lambda d(phi_0) = 0.
     """
+    require_count("samples", samples)
     rng = np.random.default_rng(seed)
     pts = sp.random_points(seed, samples)
     n_fields = 2

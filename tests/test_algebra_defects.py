@@ -82,3 +82,20 @@ def test_exact_residual_below_float_range_fails(monkeypatch):
     (check,) = run_algebra_suite(trials=2, mode="exact").checks
     assert check.max_residual == 0.0
     assert not check.passed
+
+
+def test_nan_residual_fails(monkeypatch):
+    # the NaN of the first trial must survive the finite residual of the second
+    residuals = iter([float("nan"), 0.0])
+    monkeypatch.setattr(
+        identities, "CHECKS", (("nan", lambda rng, mode: next(residuals)),)
+    )
+    (check,) = run_algebra_suite(trials=2, mode="float").checks
+    assert check.max_residual != check.max_residual
+    assert not check.passed
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_empty_algebra_run_is_rejected(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_algebra_suite(trials=trials)

@@ -68,6 +68,12 @@ def test_usage_errors_exit_two(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("suite, samples", [("gray", "0"), ("gray", "-1"), ("spectral", "0")])
+def test_empty_sphere_run_exits_two(capsys, suite, samples):
+    assert run(["verify-s6", "--suite", suite, "--samples", samples]) == 2
+    assert "samples must be at least 1" in capsys.readouterr().err
+
+
 def test_decompose_psi_plus(monkeypatch, capsys):
     payload = json.dumps(
         {

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from oracles import det_oracle
 from su3forms import sphere as sp
 from su3forms.forms import FLOAT, Form, contract, hodge_star, wedge
 from su3forms.structure import Endo, omega, psi_minus, psi_plus, volume_form
 from su3forms.deformation import DeformationParams, params_to_jet
-from su3forms.suites import sphere_deformation
+from su3forms.suites import sphere_deformation, verify_gray
 
 OM = omega(FLOAT)
 PP = psi_plus(FLOAT)
@@ -82,6 +85,19 @@ def test_chart_differential_at_origin_is_orthonormal():
     chart = sp.Chart.at(q)
     d0 = chart.differential(np.zeros(6))
     assert np.abs(d0.T @ d0 - np.eye(6)).max() < 1e-12
+
+
+def test_batched_chart_differential_is_the_jacobian():
+    chart = sp.Chart.at(POINTS[4])
+    us = 0.3 * np.random.default_rng(23).standard_normal((5, 6))
+    points, diffs = chart.from_chart(us), chart.differential(us)
+    eps = 1e-6
+    for u, p, d in zip(us, points, diffs):
+        assert np.abs(chart.from_chart(u) - p).max() < 1e-15
+        jac = np.column_stack(
+            [chart.from_chart(u + eps * e) - chart.from_chart(u - eps * e) for e in np.eye(6)]
+        ) / (2 * eps)
+        assert np.abs(d - jac).max() < 1e-8
 
 
 def test_psi_plus_field_is_closed():
@@ -206,3 +222,95 @@ def test_star_field_matches_kernel_star():
         sp.pullback_form(starred.ambient(q), 4, f), 4
     )
     assert (restricted - hodge_star(OM)).max_norm() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# compound minors and the cached stencil tables
+
+
+def _minors_oracle(v: np.ndarray, k: int) -> np.ndarray:
+    n, m = v.shape
+    return np.array(
+        [
+            [det_oracle(v[np.ix_(rows, cols)].tolist()) if k else 1.0
+             for cols in combinations(range(m), k)]
+            for rows in combinations(range(n), k)
+        ]
+    )
+
+
+@pytest.mark.parametrize("shape", [(7, 6), (6, 6)])
+def test_compound_and_pullback_match_permutation_determinants(shape):
+    rng = np.random.default_rng(17)
+    v = rng.standard_normal(shape)
+    for k in range(7):
+        expected = _minors_oracle(v, k)
+        assert np.abs(sp.compound(v, k) - expected).max() < 1e-12
+        coeffs = rng.standard_normal(expected.shape[0])
+        assert np.abs(sp.pullback_form(coeffs, k, v) - coeffs @ expected).max() < 1e-12
+
+
+def test_batched_pullback_equals_single_calls():
+    rng = np.random.default_rng(19)
+    v = rng.standard_normal((12, 7, 6))
+    for k in range(7):
+        coeffs = rng.standard_normal((12, len(sp.combos(7, k))))
+        batched = sp.pullback_form(coeffs, k, v)
+        singles = np.stack([sp.pullback_form(c, k, x) for c, x in zip(coeffs, v)])
+        assert np.array_equal(batched, singles)
+
+
+def test_psi_minus_table_matches_derivation_action():
+    phi = sp.associative_three_form()
+    for q in POINTS[:10]:
+        direct = sp.endo_act_ambient(sp.cross_matrix(q), phi, 3) / 3.0
+        assert np.abs(sp.psi_minus_ambient(q) - direct).max() < 1e-15
+
+
+def _clear_sphere_caches() -> None:
+    for obj in vars(sp).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+@pytest.fixture
+def fresh_sphere_caches():
+    _clear_sphere_caches()
+    yield
+    _clear_sphere_caches()
+
+
+def _flipped_laplace_sign(table):
+    # a 2x2 minor of the (7, 6) chart differential becomes a permanent
+    def patched(n, m, d):
+        ent, sub, signs = table(n, m, d)
+        if (n, m, d) == (7, 6, 2):
+            signs = signs * np.array([1, -1])
+        return ent, sub, signs
+
+    return patched
+
+
+def _flipped_du_wedge(table):
+    # one du^j ^ entry of the 1-form by 2-form table in six dimensions
+    def patched(n, ka, kb):
+        out = table(n, ka, kb)
+        if (n, ka, kb) == (6, 1, 2):
+            out = out.copy()
+            out[tuple(np.argwhere(out)[0])] *= -1.0
+        return out
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "name, defect",
+    [("_laplace_table", _flipped_laplace_sign), ("_wedge_table", _flipped_du_wedge)],
+)
+def test_stencil_table_defect_is_caught(fresh_sphere_caches, monkeypatch, name, defect):
+    assert verify_gray(samples=2).all_passed
+    monkeypatch.setattr(sp, name, defect(getattr(sp, name)))
+    _clear_sphere_caches()
+    report = verify_gray(samples=2)
+    assert not report.all_passed
+    assert max(c.max_residual for c in report.checks) > 1e-2

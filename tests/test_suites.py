@@ -93,6 +93,22 @@ def test_scaled_psi_plus_dot_is_caught():
     assert checks["d_omega_dot_vs_psi_plus_dot"].max_residual > 1e-2
 
 
+@pytest.mark.parametrize(
+    "suite",
+    [
+        verify_gray,
+        verify_spectral,
+        lambda samples: verify_linearized(np.eye(7)[0], samples=samples),
+        verify_linearized_basis,
+        verify_cl_identities,
+    ],
+)
+@pytest.mark.parametrize("samples", [0, -1])
+def test_empty_runs_are_rejected(suite, samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        suite(samples=samples)
+
+
 def test_unknown_defect_rejected():
     with pytest.raises(ValueError):
         verify_gray(samples=2, defect="typo")
