@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +28,8 @@ from su3forms.forms import (
     FLOAT,
     AlgebraError,
     Form,
+    decode_scalar,
+    encode_scalar,
 )
 from su3forms.identities import run_algebra_suite
 from su3forms.report import VerificationReport, merge_reports
@@ -131,27 +132,18 @@ def cmd_verify_s6(cfg: SuiteConfig, deform: str | None) -> int:
 # decompositions on stdin/stdout
 
 
-def _encode(v, mode: str):
-    return str(v) if mode == EXACT else float(v)
-
-
-def _decode(raw, mode: str):
-    return Fraction(raw) if mode == EXACT else float(raw)
-
-
 def _vector_components(u: Form, mode: str) -> list:
-    return [_encode(u.coeff(1 << i), mode) for i in range(6)]
+    return [encode_scalar(u.coeff(1 << i), mode) for i in range(6)]
 
 
 def _endo_rows(e: Endo, mode: str) -> list:
-    return [[_encode(v, mode) for v in row] for row in e.rows]
+    return [[encode_scalar(v, mode) for v in row] for row in e.rows]
 
 
 def _decompose_payload(kind: str, data) -> dict:
     if kind == "endo":
-        f = Endo(
-            data["mode"], [[_decode(v, data["mode"]) for v in row] for row in data["rows"]]
-        )
+        mode = data["mode"]
+        f = Endo(mode, [[decode_scalar(v, mode) for v in row] for row in data["rows"]])
         s, xi = decompose_anti_endo(f)
         residual = (f - (s + vector_cross_endo(xi))).max_norm()
         return {
@@ -164,15 +156,15 @@ def _decompose_payload(kind: str, data) -> dict:
         parts = decompose_three_form(u)
         return {
             "alpha": _vector_components(parts.alpha, u.mode),
-            "lambda": _encode(parts.lam, u.mode),
-            "mu": _encode(parts.mu, u.mode),
+            "lambda": encode_scalar(parts.lam, u.mode),
+            "mu": encode_scalar(parts.mu, u.mode),
             "S": _endo_rows(parts.s, u.mode),
             "residual": float((u - parts.reconstruct()).max_norm()),
         }
     parts = decompose_two_form(u)
     return {
         "phi0": parts.primitive.to_json_dict(),
-        "c": _encode(parts.omega_coeff, u.mode),
+        "c": encode_scalar(parts.omega_coeff, u.mode),
         "xi": _vector_components(parts.xi, u.mode),
         "residual": float((u - parts.reconstruct()).max_norm()),
     }

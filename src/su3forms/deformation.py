@@ -24,6 +24,8 @@ from su3forms.forms import (
     Scalar,
     coerce_scalar,
     contract,
+    decode_scalar,
+    encode_scalar,
     inner,
     scalar_zero,
     wedge,
@@ -55,20 +57,6 @@ class InconsistentJetError(AlgebraError):
             "jet violates linearized constraints: " + ", ".join(failures)
         )
         self.failures = failures
-
-
-def _encode_scalar(v: Scalar, mode: str):
-    return str(Fraction(v)) if mode == EXACT else float(v)
-
-
-def _decode_scalar(raw, mode: str) -> Scalar:
-    if mode == EXACT:
-        if isinstance(raw, (str, int)):
-            return Fraction(raw)
-        raise ValueError(f"exact scalars must be rational strings or ints, got {raw!r}")
-    if not isinstance(raw, (int, float)):
-        raise ValueError(f"float scalars must be numbers, got {raw!r}")
-    return float(raw)
 
 
 @dataclass(frozen=True)
@@ -123,10 +111,10 @@ class DeformationParams:
         mode = self.mode
         return {
             "mode": mode,
-            "xi": [_encode_scalar(c, mode) for c in self.xi.components()],
-            "S": [_encode_scalar(c, mode) for c in self.s.flat()],
+            "xi": [encode_scalar(c, mode) for c in self.xi.components()],
+            "S": [encode_scalar(c, mode) for c in self.s.flat()],
             "phi": self.phi.to_json_dict(),
-            "mu": _encode_scalar(self.mu, mode),
+            "mu": encode_scalar(self.mu, mode),
         }
 
     @classmethod
@@ -134,9 +122,9 @@ class DeformationParams:
         try:
             phi = Form.from_json_dict(data["phi"])
             mode = data.get("mode", phi.mode)
-            xi = Form.vector([_decode_scalar(c, mode) for c in data["xi"]], mode)
-            s = Endo.from_flat([_decode_scalar(c, mode) for c in data["S"]], mode)
-            mu = _decode_scalar(data["mu"], mode)
+            xi = Form.vector([decode_scalar(c, mode) for c in data["xi"]], mode)
+            s = Endo.from_flat([decode_scalar(c, mode) for c in data["S"]], mode)
+            mu = decode_scalar(data["mu"], mode)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"params object is missing fields: {exc}") from exc
         return cls(xi, s, phi, mu)
@@ -169,8 +157,8 @@ class SU3Jet:
         mode = self.mode
         return {
             "mode": mode,
-            "g_dot": [_encode_scalar(c, mode) for c in self.g_dot.flat()],
-            "j_dot": [_encode_scalar(c, mode) for c in self.j_dot.flat()],
+            "g_dot": [encode_scalar(c, mode) for c in self.g_dot.flat()],
+            "j_dot": [encode_scalar(c, mode) for c in self.j_dot.flat()],
             "omega_dot": self.omega_dot.to_json_dict(),
             "psi_plus_dot": self.psi_plus_dot.to_json_dict(),
             "psi_minus_dot": self.psi_minus_dot.to_json_dict(),
@@ -182,8 +170,8 @@ class SU3Jet:
             omega_dot = Form.from_json_dict(data["omega_dot"])
             mode = data.get("mode", omega_dot.mode)
             return cls(
-                Endo.from_flat([_decode_scalar(c, mode) for c in data["g_dot"]], mode),
-                Endo.from_flat([_decode_scalar(c, mode) for c in data["j_dot"]], mode),
+                Endo.from_flat([decode_scalar(c, mode) for c in data["g_dot"]], mode),
+                Endo.from_flat([decode_scalar(c, mode) for c in data["j_dot"]], mode),
                 omega_dot,
                 Form.from_json_dict(data["psi_plus_dot"]),
                 Form.from_json_dict(data["psi_minus_dot"]),

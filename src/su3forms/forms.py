@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isnan, nan
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 DIM = 6
@@ -146,6 +146,31 @@ _EXACT_ZERO = Fraction(0)
 def scalar_zero(mode: str) -> Scalar:
     # Fractions are immutable, so one shared exact zero serves every caller
     return _EXACT_ZERO if mode == EXACT else 0.0
+
+
+def encode_scalar(value, mode: str):
+    """JSON value of a scalar: a rational string in exact mode, a number in
+    float mode."""
+    return str(Fraction(value)) if mode == EXACT else float(value)
+
+
+def decode_scalar(raw, mode: str) -> Scalar:
+    """Inverse of `encode_scalar`: exact mode takes rational strings and
+    integers, float mode numbers; JSON booleans are no scalars in either."""
+    if isinstance(raw, bool):
+        raise ValueError(f"scalars cannot be booleans, got {raw!r}")
+    if mode == EXACT:
+        if not isinstance(raw, (str, int)):
+            raise ValueError(f"exact scalars must be rational strings or ints, got {raw!r}")
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"exact scalar {raw!r} has a zero denominator") from exc
+    if mode == FLOAT:
+        if not isinstance(raw, (int, float)):
+            raise ValueError(f"float scalars must be numbers, got {raw!r}")
+        return float(raw)
+    raise ModeError(f"unknown mode {mode!r}")
 
 
 def _check_same_mode(a: "Form", b: "Form") -> None:
@@ -356,33 +381,32 @@ class Form:
     def pullback(self, matrix: Sequence[Sequence]) -> "Form":
         """Pullback along the linear map with the given 6x6 matrix M.
 
-        Returns the form u' with u'(v_1, ..., v_k) = u(M v_1, ..., M v_k);
-        coefficients are sums of k x k minors of M.
+        Returns the form u' with u'(v_1, ..., v_k) = u(M v_1, ..., M v_k).
+        The covector e^i pulls back to row i of M, and pullback is an algebra
+        map, so each blade's image is the wedge of those rows.
         """
         rows = [[coerce_scalar(x, self.mode) for x in row] for row in matrix]
         if len(rows) != DIM or any(len(r) != DIM for r in rows):
             raise ValueError("pullback expects a 6x6 matrix")
+        covectors = [
+            Form._trusted(self.mode, {1 << j: v for j, v in enumerate(row)})
+            for row in rows
+        ]
         out: dict[int, Scalar] = {}
         for mask, value in self._c.items():
-            idx = blade_indices(mask)
-            k = len(idx)
-            if k == 0:
-                out[0] = out.get(0, scalar_zero(self.mode)) + value
-                continue
-            for cols in combinations(range(DIM), k):
-                minor = _det([[rows[i][j] for j in cols] for i in idx])
-                if minor:
-                    cm = sum(1 << j for j in cols)
-                    out[cm] = out.get(cm, scalar_zero(self.mode)) + value * minor
+            image = Form._trusted(self.mode, {0: value})
+            for i in blade_indices(mask):
+                image = wedge(image, covectors[i])
+            _add_into(out, image._c.items())
         return Form._trusted(self.mode, out)
 
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for mask, value in sorted(self._c.items()):
-            coeff = str(value) if self.mode == EXACT else float(value)
-            terms.append({"blade": blade_name(mask), "coeff": coeff})
+        terms = [
+            {"blade": blade_name(mask), "coeff": encode_scalar(value, self.mode)}
+            for mask, value in sorted(self._c.items())
+        ]
         return {"mode": self.mode, "terms": terms}
 
     @classmethod
@@ -397,23 +421,9 @@ class Form:
         coeffs: dict[int, Scalar] = {}
         for term in raw_terms:
             mask = blade_from_name(term["blade"])
-            raw = term["coeff"]
-            if mode == EXACT:
-                if isinstance(raw, str):
-                    value: Scalar = Fraction(raw)
-                elif isinstance(raw, int):
-                    value = Fraction(raw)
-                else:
-                    raise ValueError(
-                        f"exact coefficients must be rational strings, got {raw!r}"
-                    )
-            else:
-                if not isinstance(raw, (int, float)):
-                    raise ValueError(f"float coefficients must be numbers, got {raw!r}")
-                value = float(raw)
             if mask in coeffs:
                 raise ValueError(f"duplicate blade {term['blade']!r}")
-            coeffs[mask] = value
+            coeffs[mask] = decode_scalar(term["coeff"], mode)
         return cls(mode, coeffs)
 
 
@@ -445,12 +455,14 @@ def _numerators(values: Iterable[Scalar], mode: str) -> tuple[list[Scalar], int]
 
 
 def _max_abs(values: Iterable[Scalar], mode: str) -> Scalar:
-    """Largest absolute value among scalars of the mode, zero if there are none."""
+    """Largest absolute value among scalars of the mode, zero if there are
+    none, NaN if any float is NaN."""
     nums, den = _numerators(values, mode)
     if not nums:
         return scalar_zero(mode)
-    top = max(map(abs, nums))
-    return top if mode == FLOAT else Fraction(top, den)
+    if mode == FLOAT:
+        return nan if any(map(isnan, nums)) else max(map(abs, nums))
+    return Fraction(max(map(abs, nums)), den)
 
 
 def _form_numerators(a: Form) -> tuple[dict[int, Scalar], int]:
@@ -567,23 +579,3 @@ def evaluate(a: Form, *vectors: Form) -> Scalar:
         raise DegreeError("form degree does not match the number of vectors")
     return out.coeff(0)
 
-
-def _det(rows: list[list[Scalar]]) -> Scalar:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = None
-    for j in range(n):
-        piv = rows[0][j]
-        if not piv:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = piv * _det(minor)
-        if j & 1:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return rows[0][0] * 0  # preserves the scalar type
-    return total

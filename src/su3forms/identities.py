@@ -4,7 +4,7 @@ Every check draws fresh random inputs (rational in exact mode, standard
 normal in float mode) and returns the worst residual over its family of
 identities.  Exact-mode residuals must vanish identically; float mode is
 held to 1e-12 in coefficient max-norm.  `run_algebra_suite` loops the whole
-registry and aggregates per-check worst cases into a report.
+registry and keeps per-check worst cases in a `Ledger`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from su3forms.forms import (
     scalar_zero,
     wedge,
 )
-from su3forms.report import CheckResult, VerificationReport, require_count
+from su3forms.report import Ledger, VerificationReport, require_count
 from su3forms.structure import (
     TYPE_EIGENVALUES,
     Endo,
@@ -65,7 +65,9 @@ def _norm(x) -> object:
 
 
 def _worst(*items):
-    return max(_norm(x) for x in items)
+    """Largest norm among the items, NaN if any norm is NaN."""
+    norms = [_norm(x) for x in items]
+    return next((n for n in norms if n != n), max(norms))
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +403,10 @@ def run_algebra_suite(
     """
     require_count("trials", trials)
     rng = random.Random(seed)
-    worst = {name: scalar_zero(mode) for name, _ in CHECKS}
+    ledger = Ledger()
     for _ in range(trials):
         for name, fn in CHECKS:
-            r = fn(rng, mode)
-            if r > worst[name] or r != r:
-                worst[name] = r
-    if mode == EXACT:
-        passed = {name: r == 0 for name, r in worst.items()}
-    else:
-        passed = {name: float(r) <= FLOAT_TOL for name, r in worst.items()}
-    checks = tuple(
-        CheckResult(name, float(worst[name]), None, passed[name])
-        for name, _ in CHECKS
-    )
+            ledger.add(name, fn(rng, mode))
+    tol = 0 if mode == EXACT else FLOAT_TOL
+    checks = tuple(ledger.result(name, tol) for name, _ in CHECKS)
     return VerificationReport(f"algebra-{mode}", None, trials, seed, checks)

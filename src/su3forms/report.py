@@ -2,6 +2,7 @@
 
 A report is a flat list of named checks, each carrying the worst residual
 seen, an observed convergence order where one makes sense, and a pass flag.
+Every suite keeps its worst residuals in a `Ledger`, which also judges them.
 Serialization is deterministic (sorted checks, sorted keys) so identical
 configurations produce byte-identical JSON.
 """
@@ -15,6 +16,9 @@ from dataclasses import dataclass
 #: residuals below this are treated as roundoff floor; ratios between two
 #: such numbers say nothing about the truncation order
 ORDER_FLOOR = 1e-10
+
+#: convergence-order window for the second-order schemes under step halving
+ORDER_BAND = (1.8, 2.2)
 
 
 @dataclass(frozen=True)
@@ -95,3 +99,35 @@ def merge_reports(suite: str, reports: list[VerificationReport]) -> Verification
             )
     first = reports[0]
     return VerificationReport(suite, first.h, first.samples, first.seed, tuple(checks))
+
+
+class Ledger:
+    """Worst residual per check name and step slot, built into CheckResults.
+
+    A NaN residual stays the worst value of its slot, and a NaN in any slot
+    fails its check.  Residuals keep their type, so an exact residual is
+    judged as a rational and only reported as a float.
+    """
+
+    def __init__(self) -> None:
+        self._worst: dict[str, dict[int, object]] = {}
+
+    def add(self, name: str, residual, slot: int = 0) -> None:
+        slots = self._worst.setdefault(name, {})
+        prev = slots.get(slot)
+        if prev is None or residual > prev or residual != residual:
+            slots[slot] = residual
+
+    def result(
+        self, name: str, tol: float, order: tuple[int, int] | None = None
+    ) -> CheckResult:
+        """Slot 0 judged against tol; with an order pair (i, j), the observed
+        order of slots i -> j must fall inside ORDER_BAND where it can be
+        measured."""
+        slots = self._worst[name]
+        residual = slots[0]
+        conv = observed_order(slots[order[0]], slots[order[1]]) if order else None
+        ok = residual <= tol and all(r == r for r in slots.values())
+        if conv is not None:
+            ok = ok and ORDER_BAND[0] <= conv <= ORDER_BAND[1]
+        return CheckResult(name, float(residual), conv, ok)

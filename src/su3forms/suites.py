@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from su3forms.forms import FLOAT, Form, contract, wedge
-from su3forms.report import CheckResult, VerificationReport, observed_order, require_count
+from su3forms.report import CheckResult, Ledger, VerificationReport, require_count
 from su3forms.structure import (
     alpha_map,
     complex_structure,
@@ -36,9 +36,6 @@ from su3forms.structure import (
     volume_form,
 )
 from su3forms import sphere as sp
-
-#: convergence-order window for the second-order scheme under step halving
-ORDER_BAND = (1.8, 2.2)
 
 GRAY_TOL = 1e-5
 SPECTRAL_TOL = 1e-4
@@ -60,20 +57,6 @@ _J_STD = np.array(
 
 def _vec6(u: Form) -> np.ndarray:
     return np.array([float(u.coeff(1 << i)) for i in range(6)])
-
-
-def _result(
-    name: str,
-    residual: float,
-    tol: float,
-    plain_pair: tuple[float, float] | None = None,
-    enforce_band: bool = False,
-) -> CheckResult:
-    order = observed_order(*plain_pair) if plain_pair else None
-    ok = residual <= tol
-    if enforce_band and order is not None:
-        ok = ok and ORDER_BAND[0] <= order <= ORDER_BAND[1]
-    return CheckResult(name, float(residual), order, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -102,31 +85,28 @@ def verify_gray(
         raise ValueError(f"unknown defect {defect!r}")
     ppfield = sp.psi_plus_field()
 
-    worst = {name: [0.0, 0.0] for name in ("do", "dpm", "no", "npp")}
+    ledger = Ledger()
     for p in pts:
         f = sp.adapted_frame(p).matrix
         x = f @ rng.standard_normal(6)
         x /= np.linalg.norm(x)
         xf = sp.frame_vector_form(f.T @ x)
         for idx, step in enumerate((h, h / 2)):
-            r = (sp.ext_d(ofield, p, step) - _PP.scale(3.0)).max_norm()
-            worst["do"][idx] = max(worst["do"][idx], r)
-            r = (sp.ext_d(pmfield, p, step) + _OM2.scale(2.0)).max_norm()
-            worst["dpm"][idx] = max(worst["dpm"][idx], r)
-            r = (sp.covariant_d(ofield, x, p, step) - contract(xf, _PP)).max_norm()
-            worst["no"][idx] = max(worst["no"][idx], r)
-            r = (sp.covariant_d(ppfield, x, p, step) + wedge(xf, _OM)).max_norm()
-            worst["npp"][idx] = max(worst["npp"][idx], r)
+            ledger.add("d_omega_vs_psi_plus",
+                       (sp.ext_d(ofield, p, step) - _PP.scale(3.0)).max_norm(), idx)
+            ledger.add("d_psi_minus_vs_omega_sq",
+                       (sp.ext_d(pmfield, p, step) + _OM2.scale(2.0)).max_norm(), idx)
+            ledger.add("nabla_omega_vs_contraction",
+                       (sp.covariant_d(ofield, x, p, step) - contract(xf, _PP)).max_norm(),
+                       idx)
+            ledger.add("nabla_psi_plus_vs_wedge",
+                       (sp.covariant_d(ppfield, x, p, step) + wedge(xf, _OM)).max_norm(),
+                       idx)
 
-    checks = (
-        _result("d_omega_vs_psi_plus", worst["do"][0], GRAY_TOL,
-                tuple(worst["do"]), enforce_band=True),
-        _result("d_psi_minus_vs_omega_sq", worst["dpm"][0], GRAY_TOL,
-                tuple(worst["dpm"]), enforce_band=True),
-        _result("nabla_omega_vs_contraction", worst["no"][0], GRAY_TOL,
-                tuple(worst["no"]), enforce_band=True),
-        _result("nabla_psi_plus_vs_wedge", worst["npp"][0], GRAY_TOL,
-                tuple(worst["npp"]), enforce_band=True),
+    checks = tuple(
+        ledger.result(name, GRAY_TOL, order=(0, 1))
+        for name in ("d_omega_vs_psi_plus", "d_psi_minus_vs_omega_sq",
+                     "nabla_omega_vs_contraction", "nabla_psi_plus_vs_wedge")
     )
     return VerificationReport("gray", h, samples, seed, checks)
 
@@ -142,24 +122,18 @@ def verify_spectral(samples: int = 50, h: float = 1e-3, seed: int = 0) -> Verifi
     """
     require_count("samples", samples)
     pts = sp.random_points(seed, samples)
-    worst_lin = [0.0, 0.0]
-    worst_quad = [0.0, 0.0]
-    for idx, step in enumerate((h, h / 2)):
-        for i in range(7):
-            fn = lambda q, i=i: q[i]
-            resid = max(abs(sp.laplacian(fn, p, step) - 6.0 * p[i]) for p in pts)
-            scale = max(abs(6.0 * p[i]) for p in pts)
-            worst_lin[idx] = max(worst_lin[idx], resid / scale)
-        quad = lambda q: q[0] * q[1]
-        resid = max(abs(sp.laplacian(quad, p, step) - 14.0 * quad(p)) for p in pts)
-        scale = max(abs(14.0 * quad(p)) for p in pts)
-        worst_quad[idx] = resid / scale
+    harmonics = [("laplacian_linear_harmonics", lambda q, i=i: q[i], 6.0) for i in range(7)]
+    harmonics.append(("laplacian_quadratic_harmonic", lambda q: q[0] * q[1], 14.0))
+    ledger = Ledger()
+    for name, fn, ev in harmonics:
+        scale = max(abs(ev * fn(p)) for p in pts)
+        for idx, step in enumerate((h, h / 2)):
+            for p in pts:
+                ledger.add(name, abs(sp.laplacian(fn, p, step) - ev * fn(p)) / scale, idx)
 
     checks = (
-        _result("laplacian_linear_harmonics", worst_lin[0], SPECTRAL_TOL,
-                tuple(worst_lin), enforce_band=True),
-        _result("laplacian_quadratic_harmonic", worst_quad[0], SPECTRAL_TOL,
-                tuple(worst_quad), enforce_band=True),
+        ledger.result("laplacian_linear_harmonics", SPECTRAL_TOL, order=(0, 1)),
+        ledger.result("laplacian_quadratic_harmonic", SPECTRAL_TOL, order=(0, 1)),
     )
     return VerificationReport("spectral", h, samples, seed, checks)
 
@@ -267,7 +241,7 @@ def verify_linearized(
         raise ValueError(f"unknown defect {defect!r}")
 
     pts = sp.random_points(seed, samples)
-    worst = {name: [0.0, 0.0, 0.0] for name in ("do", "dpm", "vol")}
+    ledger = Ledger()
     for p in pts:
         f = sp.adapted_frame(p).matrix
         ppd_p = sp.form_from_frame_coeffs(
@@ -277,27 +251,31 @@ def verify_linearized(
             sp.pullback_form(bundle.omega_dot.ambient(p), 2, f), 2
         )
         mu_p = bundle.mu(p)
+        # slot 0: Richardson at h; slots 1 and 2: plain scheme at h and h/2
         for idx, (step, rich) in enumerate(((h, True), (h, False), (h / 2, False))):
-            r = (sp.ext_d(bundle.omega_dot, p, step, richardson=rich) - ppd_p.scale(3.0)).max_norm()
-            worst["do"][idx] = max(worst["do"][idx], r)
-            r = (
-                sp.ext_d(bundle.psi_minus_dot, p, step, richardson=rich)
-                + wedge(od_p, _OM).scale(4.0)
-            ).max_norm()
-            worst["dpm"][idx] = max(worst["dpm"][idx], r)
-            r = (
-                sp.ext_d(bundle.xi_omega_sq, p, step, richardson=rich)
-                + _VOL.scale(12.0 * mu_p)
-            ).max_norm()
-            worst["vol"][idx] = max(worst["vol"][idx], r)
+            ledger.add(
+                "d_omega_dot_vs_psi_plus_dot",
+                (sp.ext_d(bundle.omega_dot, p, step, richardson=rich)
+                 - ppd_p.scale(3.0)).max_norm(),
+                idx,
+            )
+            ledger.add(
+                "d_psi_minus_dot_vs_omega_dot_wedge",
+                (sp.ext_d(bundle.psi_minus_dot, p, step, richardson=rich)
+                 + wedge(od_p, _OM).scale(4.0)).max_norm(),
+                idx,
+            )
+            ledger.add(
+                "five_form_vs_volume",
+                (sp.ext_d(bundle.xi_omega_sq, p, step, richardson=rich)
+                 + _VOL.scale(12.0 * mu_p)).max_norm(),
+                idx,
+            )
 
     checks = [
-        _result("d_omega_dot_vs_psi_plus_dot", worst["do"][0], LINEARIZED_TOL,
-                (worst["do"][1], worst["do"][2]), enforce_band=True),
-        _result("d_psi_minus_dot_vs_omega_dot_wedge", worst["dpm"][0], LINEARIZED_TOL,
-                (worst["dpm"][1], worst["dpm"][2]), enforce_band=True),
-        _result("five_form_vs_volume", worst["vol"][0], LINEARIZED_TOL,
-                (worst["vol"][1], worst["vol"][2]), enforce_band=True),
+        ledger.result(name, LINEARIZED_TOL, order=(1, 2))
+        for name in ("d_omega_dot_vs_psi_plus_dot", "d_psi_minus_dot_vs_omega_dot_wedge",
+                     "five_form_vs_volume")
     ]
     if rank_check:
         ratio = deformation_span_ratio(seed)
@@ -307,20 +285,28 @@ def verify_linearized(
     return VerificationReport("linearized", h, samples, seed, tuple(checks))
 
 
+def _severity(c: CheckResult) -> tuple:
+    """Sort key of one direction's check: failing first, then NaN, then the
+    larger residual."""
+    bad = c.max_residual != c.max_residual
+    return (not c.passed, bad, 0.0 if bad else c.max_residual)
+
+
 def verify_linearized_basis(
     samples: int = 50, h: float = 1e-3, seed: int = 0, defect: str | None = None
 ) -> VerificationReport:
     """Aggregate of verify_linearized over the seven coordinate directions:
-    per-check worst case, plus the common span-rank check."""
-    merged: dict[str, CheckResult] = {}
+    per check, the worst direction (a failing one before a passing one,
+    then the larger residual, NaN largest; ties keep the first), plus the
+    common span-rank check."""
+    by_name: dict[str, list[CheckResult]] = {}
     for i in range(7):
         rep = verify_linearized(
             np.eye(7)[i], samples, h, seed, defect=defect, rank_check=False
         )
         for c in rep.checks:
-            prev = merged.get(c.name)
-            if prev is None or c.max_residual > prev.max_residual:
-                merged[c.name] = c
+            by_name.setdefault(c.name, []).append(c)
+    merged = {name: max(cs, key=_severity) for name, cs in by_name.items()}
     ratio = deformation_span_ratio(seed)
     merged["span_rank_singular_ratio"] = CheckResult(
         "span_rank_singular_ratio", ratio, None, ratio >= RANK_RATIO_MIN
@@ -423,7 +409,7 @@ def verify_cl_identities(
     betas = [rng.standard_normal(21) for _ in range(n_fields)]
     gammas = [rng.standard_normal(35) for _ in range(n_fields)]
 
-    ids = {k: [0.0, 0.0] for k in ("cl1", "cl2", "cl3", "cl4", "cl5")}
+    ledger = Ledger()
     for n, p in enumerate(pts):
         sel = sp.adapted_frame(p).selection
         phif = invariant_two_form_field(betas[n % n_fields])
@@ -444,12 +430,11 @@ def verify_cl_identities(
             dlam = sp.ext_d(lam_field, p, step)
             lhs1 = lefschetz_contract(sp.ext_d(phif, p, step))
             rhs1 = sp.frame_vector_form(div_h) + dlam.scale(2.0)
-            ids["cl1"][idx] = max(ids["cl1"][idx], (lhs1 - rhs1).max_norm())
+            ledger.add("lefschetz_d_phi_vs_divergence", (lhs1 - rhs1).max_norm(), idx)
 
             dphi = sp.codifferential(phif, p, step)
-            ids["cl2"][idx] = max(
-                ids["cl2"][idx], np.abs(div_h + _J_STD @ _vec6(dphi)).max()
-            )
+            ledger.add("divergence_h_vs_j_delta_phi",
+                       np.abs(div_h + _J_STD @ _vec6(dphi)).max(), idx)
 
             div_s = sp.divergence_endo(s_amb, p, step)
             delta_spp = sp.codifferential(s_pp, p, step)
@@ -457,16 +442,12 @@ def verify_cl_identities(
             rhs3 = lam_d_spm.scale(-1.0) - contract(
                 sp.frame_vector_form(div_s), _PP
             ).scale(2.0)
-            ids["cl3"][idx] = max(ids["cl3"][idx], (delta_spp - rhs3).max_norm())
-            ids["cl4"][idx] = max(
-                ids["cl4"][idx], np.abs(_vec6(alpha_map(lam_d_spm)) + 2.0 * div_s).max()
-            )
-            ids["cl5"][idx] = max(
-                ids["cl5"][idx], lefschetz_contract(delta_spp).max_norm()
-            )
+            ledger.add("delta_s_psi_plus_identity", (delta_spp - rhs3).max_norm(), idx)
+            ledger.add("alpha_lefschetz_vs_divergence_s",
+                       np.abs(_vec6(alpha_map(lam_d_spm)) + 2.0 * div_s).max(), idx)
+            ledger.add("lefschetz_delta_s_psi_plus",
+                       lefschetz_contract(delta_spp).max_norm(), idx)
 
-    gate_worst = 0.0
-    cond = {"wp": 0.0, "wm": 0.0, "lam": 0.0}
     n_gate = max(2, samples // 10)
     for p in sp.random_points(seed + 1, n_gate):
         columns = []
@@ -488,27 +469,22 @@ def verify_cl_identities(
             k = kernel @ rng.standard_normal(kernel.shape[1])
             k /= np.linalg.norm(k)
             field = invariant_two_form_field(k[:21], k[21:].reshape(7, 21), primitive=True)
-            gate = np.linalg.norm(_vec6(sp.codifferential(field, p, h)))
-            gate_worst = max(gate_worst, gate)
+            ledger.add("coclosed_gate",
+                       np.linalg.norm(_vec6(sp.codifferential(field, p, h))))
             dphi0 = sp.ext_d(field, p, h)
-            cond["wp"] = max(cond["wp"], wedge(dphi0, _PP).max_norm())
-            cond["wm"] = max(cond["wm"], wedge(dphi0, _PM).max_norm())
-            cond["lam"] = max(cond["lam"], lefschetz_contract(dphi0).max_norm())
+            ledger.add("coclosed_d_phi_wedge_psi_plus", wedge(dphi0, _PP).max_norm())
+            ledger.add("coclosed_d_phi_wedge_psi_minus", wedge(dphi0, _PM).max_norm())
+            ledger.add("coclosed_d_phi_lefschetz", lefschetz_contract(dphi0).max_norm())
 
-    checks = (
-        _result("lefschetz_d_phi_vs_divergence", ids["cl1"][0], CL_TOL,
-                tuple(ids["cl1"]), enforce_band=True),
-        _result("divergence_h_vs_j_delta_phi", ids["cl2"][0], CL_TOL,
-                tuple(ids["cl2"]), enforce_band=True),
-        _result("delta_s_psi_plus_identity", ids["cl3"][0], CL_TOL,
-                tuple(ids["cl3"]), enforce_band=True),
-        _result("alpha_lefschetz_vs_divergence_s", ids["cl4"][0], CL_TOL,
-                tuple(ids["cl4"]), enforce_band=True),
-        _result("lefschetz_delta_s_psi_plus", ids["cl5"][0], CL_TOL,
-                tuple(ids["cl5"]), enforce_band=True),
-        _result("coclosed_gate", gate_worst, COCLOSED_GATE_TOL),
-        _result("coclosed_d_phi_wedge_psi_plus", cond["wp"], CL_TOL),
-        _result("coclosed_d_phi_wedge_psi_minus", cond["wm"], CL_TOL),
-        _result("coclosed_d_phi_lefschetz", cond["lam"], CL_TOL),
+    checks = tuple(
+        ledger.result(name, CL_TOL, order=(0, 1))
+        for name in ("lefschetz_d_phi_vs_divergence", "divergence_h_vs_j_delta_phi",
+                     "delta_s_psi_plus_identity", "alpha_lefschetz_vs_divergence_s",
+                     "lefschetz_delta_s_psi_plus")
+    ) + (
+        ledger.result("coclosed_gate", COCLOSED_GATE_TOL),
+        ledger.result("coclosed_d_phi_wedge_psi_plus", CL_TOL),
+        ledger.result("coclosed_d_phi_wedge_psi_minus", CL_TOL),
+        ledger.result("coclosed_d_phi_lefschetz", CL_TOL),
     )
     return VerificationReport("cl", h, samples, seed, checks)

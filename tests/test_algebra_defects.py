@@ -95,6 +95,19 @@ def test_nan_residual_fails(monkeypatch):
     assert not check.passed
 
 
+def test_nan_survives_the_norms():
+    nan = float("nan")
+    rows = [[0.0] * 6 for _ in range(6)]
+    rows[0][0], rows[5][5] = 3.0, nan
+    for worst in (
+        structure.Endo("float", rows).max_norm(),
+        identities._worst(forms.Form("float", {1: 0.5}), nan),
+        identities._worst(nan, forms.Form("float", {1: 0.5})),
+    ):
+        assert worst != worst
+    assert identities._worst(forms.Form("float", {1: 0.5}), -2.0) == 2.0
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_empty_algebra_run_is_rejected(trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):

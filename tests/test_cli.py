@@ -162,3 +162,28 @@ def test_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli.suites, "verify_gray", fake)
     assert cli.main(["verify-s6", "--suite", "gray", "--samples", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "entry, negated, code",
+    [("1/10", "-1/10", 0), (0.1, -0.1, 2), (1.0, -1.0, 2), (True, "-1", 2), ("1/0", "0", 2)],
+)
+def test_exact_decompose_endo_takes_rationals_only(monkeypatch, capsys, entry, negated, code):
+    # symmetric and J-anticommuting, so only the entries' type can fail
+    rows = [["0"] * 6 for _ in range(6)]
+    rows[0][2] = rows[2][0] = entry
+    rows[1][3] = rows[3][1] = negated
+    payload = json.dumps({"mode": "exact", "rows": rows})
+    assert run(["decompose", "--kind", "endo"], payload, monkeypatch) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "error" in captured.err
+    else:
+        assert json.loads(captured.out)["S"][0][2] == "1/10"
+
+
+@pytest.mark.parametrize("entry", [0.1, True])
+def test_exact_decompose_two_form_rejects_non_rational_entries(monkeypatch, capsys, entry):
+    payload = json.dumps({"mode": "exact", "terms": [{"blade": "e12", "coeff": entry}]})
+    assert run(["decompose", "--kind", "2form"], payload, monkeypatch) == 2
+    capsys.readouterr()

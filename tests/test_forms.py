@@ -320,6 +320,9 @@ def test_json_exact_coefficients_are_strings():
         {"mode": "nope", "terms": []},
         {"mode": "exact", "terms": [{"blade": "e12", "coeff": 0.5}]},
         {"mode": "float", "terms": [{"blade": "e12", "coeff": "1/2"}]},
+        {"mode": "exact", "terms": [{"blade": "e12", "coeff": True}]},
+        {"mode": "float", "terms": [{"blade": "e12", "coeff": False}]},
+        {"mode": "exact", "terms": [{"blade": "e12", "coeff": "1/0"}]},
         {"mode": "exact", "terms": [{"blade": "e21", "coeff": "1"}]},
         {
             "mode": "exact",
@@ -333,3 +336,9 @@ def test_json_exact_coefficients_are_strings():
 def test_json_rejects_malformed_input(data):
     with pytest.raises(ValueError):
         Form.from_json_dict(data)
+
+
+def test_float_max_norm_keeps_nan():
+    norm = Form(FLOAT, {1: 1.0, 2: float("nan"), 4: 2.0}).max_norm()
+    assert norm != norm
+    assert Form(FLOAT, {1: 1.0, 4: -2.0}).max_norm() == 2.0

@@ -154,3 +154,44 @@ def test_report_json_shape():
     assert names == sorted(names)
     for c in data["checks"]:
         assert set(c) == {"name", "max_residual", "conv_order", "pass"}
+
+
+def test_nan_field_fails_gray(monkeypatch):
+    from su3forms import sphere as sp
+
+    monkeypatch.setattr(
+        sp, "omega_field", lambda: sp.FormField(2, lambda q: np.full(21, np.nan))
+    )
+    checks = _by_name(verify_gray(samples=2))
+    for name in ("d_omega_vs_psi_plus", "nabla_omega_vs_contraction"):
+        assert checks[name].max_residual != checks[name].max_residual
+        assert not checks[name].passed
+    assert checks["d_psi_minus_vs_omega_sq"].passed
+
+
+def test_basis_merge_keeps_failing_directions(monkeypatch):
+    from su3forms import suites
+
+    real = suites.verify_linearized
+
+    def patched(a, *args, **kwargs):
+        rep = real(a, *args, **kwargs)
+        if a[3]:  # e4 misses the order band at a passing residual
+            bad = CheckResult("d_omega_dot_vs_psi_plus_dot", 1e-12, 1.0, False)
+        elif a[5]:  # e6 returns NaN
+            bad = CheckResult("five_form_vs_volume", float("nan"), None, False)
+        else:
+            return rep
+        checks = tuple(bad if c.name == bad.name else c for c in rep.checks)
+        return VerificationReport(rep.suite, rep.h, rep.samples, rep.seed, checks)
+
+    monkeypatch.setattr(suites, "verify_linearized", patched)
+    report = verify_linearized_basis(samples=1)
+    assert not report.all_passed
+    checks = _by_name(report)
+    order_fail = checks["d_omega_dot_vs_psi_plus_dot"]
+    assert (order_fail.max_residual, order_fail.conv_order) == (1e-12, 1.0)
+    assert not order_fail.passed
+    nan_fail = checks["five_form_vs_volume"]
+    assert nan_fail.max_residual != nan_fail.max_residual and not nan_fail.passed
+    assert checks["d_psi_minus_dot_vs_omega_dot_wedge"].passed
