@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from su3forms.forms import (
-    EXACT,
     AlgebraError,
     DegreeError,
     Form,
@@ -36,6 +35,7 @@ from su3forms.structure import (
     complex_structure,
     decompose_anti_endo,
     endo_act,
+    gate_fails,
     j_compose_left,
     j_compose_right,
     lefschetz_contract,
@@ -85,7 +85,7 @@ class DeformationParams:
     def lam(self) -> Scalar:
         return self.h.trace() / coerce_scalar(4, self.mode)
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         modes = {self.xi.mode, self.s.mode, self.phi.mode}
         if len(modes) != 1:
             raise ModeError(f"mixed modes in params: {sorted(modes)}")
@@ -93,12 +93,11 @@ class DeformationParams:
             raise DegreeError("xi must be a 1-form")
         if self.phi.degrees not in ((), (2,)):
             raise DegreeError("phi must be a 2-form")
-        exact = self.mode == EXACT
         s_err = sym_minus_residual(self.s)
-        if (s_err != 0) if exact else (s_err > tol):
+        if gate_fails(s_err, self.mode):
             raise ValueError(f"S is not symmetric J-anticommuting: residual {s_err}")
         phi_err = (self.phi - type_project(self.phi, 1, 1)).max_norm()
-        if (phi_err != 0) if exact else (phi_err > tol):
+        if gate_fails(phi_err, self.mode):
             raise ValueError(f"phi is not J-invariant: residual {phi_err}")
 
     @classmethod
@@ -180,7 +179,7 @@ class SU3Jet:
             raise ValueError(f"jet object is missing fields: {exc}") from exc
 
 
-def params_to_jet(params: DeformationParams, tol: float = 1e-9) -> SU3Jet:
+def params_to_jet(params: DeformationParams) -> SU3Jet:
     """The first-order jet induced by (xi, S, phi, mu).
 
     J_dot = JS + K_xi, g_dot = h + S, omega_dot = phi + xi -| psi_plus,
@@ -188,7 +187,7 @@ def params_to_jet(params: DeformationParams, tol: float = 1e-9) -> SU3Jet:
     and the psi_minus_dot companion with (lam, mu) rotated and J xi in place
     of xi.
     """
-    params.validate(tol)
+    params.validate()
     mode = params.mode
     j = complex_structure(mode)
     om, pp, pm = omega(mode), psi_plus(mode), psi_minus(mode)
@@ -250,31 +249,26 @@ def check_jet_consistency(jet: SU3Jet) -> dict[str, Scalar]:
     }
 
 
-def jet_to_params(jet: SU3Jet, tol: float = 1e-9) -> DeformationParams:
+def jet_to_params(jet: SU3Jet) -> DeformationParams:
     """Invert `params_to_jet`, verifying the constraints first.
 
     xi = -Lambda psi_plus_dot / 2, mu = <psi_plus_dot, psi_minus> / 4, phi is
     the J-invariant part of omega_dot, and S comes from the symmetric part of
     J_dot.  Raises `InconsistentJetError` naming every violated constraint.
     """
+    mode = jet.mode
     residuals = check_jet_consistency(jet)
-    exact = jet.mode == EXACT
-    failures = [
-        name
-        for name, r in residuals.items()
-        if (r != 0 if exact else r > tol)
-    ]
+    failures = [name for name, r in residuals.items() if gate_fails(r, mode)]
     if failures:
         raise InconsistentJetError(failures)
-    mode = jet.mode
     j = complex_structure(mode)
     xi = lefschetz_contract(jet.psi_plus_dot).scale(Fraction(-1, 2))
     mu = inner(jet.psi_plus_dot, psi_minus(mode)) / coerce_scalar(4, mode)
     phi = type_project(jet.omega_dot, 1, 1)
-    j_s, xi_from_j = decompose_anti_endo(jet.j_dot, tol)
+    j_s, xi_from_j = decompose_anti_endo(jet.j_dot)
     s = -j_compose_left(j_s)
     xi_err = (xi - xi_from_j).max_norm()
-    if (xi_err != 0) if exact else (xi_err > tol):
+    if gate_fails(xi_err, mode):
         raise InconsistentJetError(["xi_from_j_dot"])
     return DeformationParams(xi, s, phi, mu)
 

@@ -7,13 +7,13 @@ restriction of phi itself.  Differential operators (exterior derivative,
 Levi-Civita derivative, codifferential, Laplacian) are second-order central
 finite differences in a projection chart recentered at each evaluation point.
 
-Ambient exterior algebra on R^7 is carried as numpy coefficient vectors over
-index combinations in lexicographic order, with product and contraction
-tables precomputed from the same transposition-parity rules as the exact
-kernel.  Pointwise values are converted to the 6-dimensional kernel's float
-forms in an adapted frame, where the structure tensors take their standard
-normal forms exactly, so every algebraic operator of `structure` applies
-verbatim at each point.
+Forms on R^7 and frame values on the tangent space are numpy coefficient
+vectors over index combinations in lexicographic order, with product and
+contraction tables precomputed from the same transposition-parity rules as
+the exact kernel.  Frame values are taken in an adapted frame, where the
+structure tensors take their standard normal forms exactly, so an algebraic
+operator of the six-dimensional kernel applies at each point as a constant
+matrix (`kernel_matrix`), computed once in exact mode by the kernel itself.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from su3forms.forms import FLOAT, Form, wedge_sign
+from su3forms.forms import EXACT, Form, hodge_star, wedge_sign
 from su3forms.forms import contraction_sign as _contraction_sign
 
 AMBIENT_DIM = 7
@@ -132,30 +132,6 @@ def _contract_table(n: int, k: int) -> np.ndarray:
     return table
 
 
-@cache
-def _endo_table(n: int, k: int) -> np.ndarray:
-    """Dense tensor e[i, r, a, b]: (A . u)_b = sum e[i,r,a,b] A[i,r] u_a.
-
-    Same derivation action as the kernel's `endo_act`:
-    A . u = -sum_i (A^T e_i)^flat ^ (e_i -| u).
-    """
-    ca = combos(n, k)
-    cb = _combo_index(n, k)
-    table = np.zeros((n, n, len(ca), len(ca)))
-    for ia, ta in enumerate(ca):
-        ma = sum(1 << i for i in ta)
-        for i in ta:
-            s1 = _contraction_sign(i, ma)
-            inner_mask = ma ^ (1 << i)
-            for r in range(n):
-                if inner_mask & (1 << r):
-                    continue
-                s2 = wedge_sign(1 << r, inner_mask)
-                table[i, r, ia, cb[inner_mask | (1 << r)]] -= s1 * s2
-    table.setflags(write=False)
-    return table
-
-
 def wedge_ambient(a: np.ndarray, ka: int, b: np.ndarray, kb: int) -> np.ndarray:
     return np.einsum("abc,a,b->c", _wedge_table(AMBIENT_DIM, ka, kb), a, b)
 
@@ -165,7 +141,10 @@ def contract_ambient(x: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
 
 
 def endo_act_ambient(m: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
-    return np.einsum("irab,ir,a->b", _endo_table(AMBIENT_DIM, k), m, a)
+    """Derivation action of the matrix m on a k-form, as the kernel's
+    `endo_act`: A . u = -sum_i (A^T e_i)^flat ^ (e_i -| u)."""
+    contractions = np.einsum("iac,a->ic", _contract_table(AMBIENT_DIM, k), a)
+    return -np.einsum("ir,rcb,ic->b", m, _wedge_table(AMBIENT_DIM, 1, k - 1), contractions)
 
 
 @cache
@@ -233,19 +212,8 @@ def pullback_form(coeffs: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
     return (coeffs[..., None, :] @ compound(v, k))[..., 0, :]
 
 
-def form_from_frame_coeffs(coeffs: np.ndarray, k: int) -> Form:
-    """Kernel float Form from a 6-dimensional coefficient vector."""
-    six = combos(6, k)
-    return Form(
-        FLOAT,
-        {
-            sum(1 << i for i in six[pos]): float(c)
-            for pos, c in enumerate(coeffs)
-        },
-    )
-
-
 def frame_coeffs_from_form(u: Form, k: int) -> np.ndarray:
+    """Coefficient vector of a kernel k-form over 6-dimensional combinations."""
     out = zero_coeffs(6, k)
     index = _combo_index(6, k)
     for mask, value in u.terms():
@@ -253,9 +221,26 @@ def frame_coeffs_from_form(u: Form, k: int) -> np.ndarray:
     return out
 
 
-def frame_vector_form(x: np.ndarray) -> Form:
-    """Kernel 1-form from 6 frame components."""
-    return Form.vector([float(c) for c in x], FLOAT)
+@cache
+def kernel_matrix(op: Callable, k: int) -> np.ndarray:
+    """Matrix of a linear operator of the six-dimensional kernel on k-forms.
+
+    Row i is op applied, in exact mode, to the i-th k-blade in lex order:
+    the image's coefficient vector, or the 36 row-major entries of the
+    image when op returns an endomorphism.  A frame value u maps to
+    u @ kernel_matrix(op, k).
+    """
+    images = [
+        op(Form(EXACT, {sum(1 << i for i in c): 1})) for c in combos(6, k)
+    ]
+    if not isinstance(images[0], Form):
+        rows = [[float(x) for x in e.flat()] for e in images]
+    else:
+        k_out = max(d for u in images for d in u.degrees)
+        rows = [frame_coeffs_from_form(u, k_out) for u in images]
+    table = np.array(rows)
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +266,12 @@ def omega_ambient(q: np.ndarray) -> np.ndarray:
 def _psi_minus_table() -> np.ndarray:
     """(7, 35) matrix of the linear map q -> psi_minus_ambient(q).
 
-    Row l is one third of the derivation action of A = e_l x . on phi,
-    A . phi = -sum_i (A^T e_i)^flat ^ (e_i -| phi), with A^T e_i = e_i x e_l.
+    Row l is one third of the derivation action of e_l x . on phi.
     """
     phi = associative_three_form()
-    contractions = np.einsum("iac,a->ic", _contract_table(AMBIENT_DIM, 3), phi)
-    wedges = np.einsum("rcb,ic->irb", _wedge_table(AMBIENT_DIM, 1, 2), contractions)
-    table = -np.einsum("lri,irb->lb", cross_tensor(), wedges) / 3.0
+    table = np.stack(
+        [endo_act_ambient(cross_matrix(e), phi, 3) for e in np.eye(AMBIENT_DIM)]
+    ) / 3.0
     table.setflags(write=False)
     return table
 
@@ -358,10 +342,6 @@ class AdaptedFrame:
     matrix: np.ndarray
     selection: tuple[int, int]
 
-    @property
-    def vectors(self) -> np.ndarray:
-        return self.matrix.T
-
 
 def adapted_frame(q: np.ndarray, selection: tuple[int, int] | None = None) -> AdaptedFrame:
     order = sorted(range(AMBIENT_DIM), key=lambda i: (abs(q[i]), i))
@@ -397,29 +377,6 @@ def _orthogonalize(v: np.ndarray, against: Sequence[np.ndarray]) -> np.ndarray:
     for b in against:
         out = out - (out @ b) * b
     return out
-
-
-@dataclass(frozen=True)
-class StructureAt:
-    """Pointwise structure data in an adapted frame."""
-
-    frame: AdaptedFrame
-    omega: Form
-    psi_plus: Form
-    psi_minus: Form
-    j_frame: np.ndarray
-
-
-def structure_at(q: np.ndarray) -> StructureAt:
-    if abs(np.linalg.norm(q) - 1.0) > 1e-12:
-        raise ValueError("structure_at needs a unit vector")
-    frame = adapted_frame(q)
-    f = frame.matrix
-    om = form_from_frame_coeffs(pullback_form(omega_ambient(q), 2, f), 2)
-    pp = form_from_frame_coeffs(pullback_form(associative_three_form(), 3, f), 3)
-    pm = form_from_frame_coeffs(pullback_form(psi_minus_ambient(q), 3, f), 3)
-    j_frame = f.T @ cross_matrix(q) @ f
-    return StructureAt(frame, om, pp, pm, j_frame)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +434,9 @@ def _stencil(h: float, richardson: bool) -> tuple[np.ndarray, np.ndarray]:
     return offsets, weights
 
 
-def ext_d(field: FormField, p: np.ndarray, h: float, richardson: bool = False) -> Form:
-    """Exterior derivative at p by central differences, in frame components.
+def ext_d(field: FormField, p: np.ndarray, h: float, richardson: bool = False) -> np.ndarray:
+    """Exterior derivative at p by central differences, in frame components
+    (lex order).
 
     Differentiates the chart components of the field in the projection chart
     at p and assembles sum_j du^j ^ d/du_j; the result is converted to the
@@ -494,7 +452,7 @@ def ext_d(field: FormField, p: np.ndarray, h: float, richardson: bool = False) -
     partials = weights @ pullback_form(ambient, k, chart.differential(offsets))
     # sum_j du^j ^ partial_j, through the wedge table of 1-forms with k-forms
     d_chart = np.einsum("jp,jpo->o", partials, _wedge_table(6, 1, k))
-    return form_from_frame_coeffs(d_chart @ _frame_change(chart, frame, k + 1), k + 1)
+    return d_chart @ _frame_change(chart, frame, k + 1)
 
 
 def _transported_frame(p: np.ndarray, x: np.ndarray, t: float, f: np.ndarray):
@@ -504,7 +462,7 @@ def _transported_frame(p: np.ndarray, x: np.ndarray, t: float, f: np.ndarray):
     return gamma, v
 
 
-def covariant_d(field: FormField, x: np.ndarray, p: np.ndarray, h: float) -> Form:
+def covariant_d(field: FormField, x: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
     """Levi-Civita derivative of a form field along tangent x, at p.
 
     Extends the frame vectors by tangential projection (a parallel extension
@@ -518,9 +476,7 @@ def covariant_d(field: FormField, x: np.ndarray, p: np.ndarray, h: float) -> For
         gamma, v = _transported_frame(p, x, t, f)
         return pullback_form(field.ambient(gamma), field.degree, v)
 
-    return form_from_frame_coeffs(
-        (sample(h) - sample(-h)) / (2.0 * h), field.degree
-    )
+    return (sample(h) - sample(-h)) / (2.0 * h)
 
 
 def covariant_d_endo(
@@ -558,26 +514,22 @@ def star_field(field: FormField, center: np.ndarray) -> FormField:
     frozen there, so the construction is smooth across a stencil), applies
     the kernel's exact star, and extends back to an ambient form.
     """
-    from su3forms.forms import hodge_star
-
     selection = adapted_frame(center).selection
     k = field.degree
 
     def ambient(q: np.ndarray) -> np.ndarray:
         f = adapted_frame(q, selection).matrix
-        restricted = form_from_frame_coeffs(pullback_form(field.ambient(q), k, f), k)
-        starred = frame_coeffs_from_form(hodge_star(restricted), 6 - k)
+        restricted = pullback_form(field.ambient(q), k, f)
+        starred = restricted @ kernel_matrix(hodge_star, k)
         return pullback_form(starred, 6 - k, f.T)
 
     return FormField(6 - k, ambient)
 
 
-def codifferential(field: FormField, p: np.ndarray, h: float) -> Form:
+def codifferential(field: FormField, p: np.ndarray, h: float) -> np.ndarray:
     """Codifferential -*d* of a form field at p, in frame components."""
-    from su3forms.forms import hodge_star
-
     du = ext_d(star_field(field, p), p, h)
-    return -hodge_star(du)
+    return -(du @ kernel_matrix(hodge_star, 7 - field.degree))
 
 
 def laplacian(fn: Callable[[np.ndarray], float], p: np.ndarray, h: float) -> float:

@@ -656,14 +656,23 @@ class ThreeFormParts:
         )
 
 
-def _residual_guard(given: Form, rebuilt: Form, tol: float, what: str) -> None:
+#: float-mode tolerance of the decomposition and jet consistency gates
+GATE_TOL = 1e-9
+
+
+def gate_fails(err: Scalar, mode: str) -> bool:
+    """Whether a gate residual rejects its input: any nonzero exact value,
+    or a float that is not within GATE_TOL (so NaN fails)."""
+    return err != 0 if mode == EXACT else not err <= GATE_TOL
+
+
+def _residual_guard(given: Form, rebuilt: Form, what: str) -> None:
     err = (given - rebuilt).max_norm()
-    bad = err != 0 if given.mode == EXACT else err > tol
-    if bad:
+    if gate_fails(err, given.mode):
         raise DecompositionError(f"{what} residual {err} exceeds tolerance")
 
 
-def decompose_two_form(a: Form, tol: float = 1e-9) -> TwoFormParts:
+def decompose_two_form(a: Form) -> TwoFormParts:
     """Split a 2-form into primitive (1,1) + omega line + vector part."""
     if a.degrees not in ((), (2,)):
         raise DegreeError("decompose_two_form needs a 2-form")
@@ -673,11 +682,11 @@ def decompose_two_form(a: Form, tol: float = 1e-9) -> TwoFormParts:
     xi = alpha_map(anti).scale(Fraction(1, 2))
     primitive = type_project(a, 1, 1) - om.scale(c)
     parts = TwoFormParts(primitive, c, xi)
-    _residual_guard(a, parts.reconstruct(), tol, "2-form decomposition")
+    _residual_guard(a, parts.reconstruct(), "2-form decomposition")
     return parts
 
 
-def decompose_three_form(u: Form, tol: float = 1e-9) -> ThreeFormParts:
+def decompose_three_form(u: Form) -> ThreeFormParts:
     """Split a 3-form into alpha ^ omega, psi lines and the symmetric part.
 
     alpha and the psi coefficients come from contractions; the symmetric
@@ -707,7 +716,7 @@ def decompose_three_form(u: Form, tol: float = 1e-9) -> ThreeFormParts:
     if mode == EXACT:
         coeffs = [Fraction(c, den * d_rest) for c in coeffs]
     parts = ThreeFormParts(alpha, lam, mu, sym_minus_combination(coeffs, mode))
-    _residual_guard(u, parts.reconstruct(), tol, "3-form decomposition")
+    _residual_guard(u, parts.reconstruct(), "3-form decomposition")
     return parts
 
 
@@ -724,39 +733,36 @@ def sym_minus_to_form(s: Endo, which: str = "psi_plus") -> Form:
     raise ValueError(f"unknown target form {which!r}")
 
 
-def form_to_sym_minus(u: Form, tol: float = 1e-9) -> Endo:
+def form_to_sym_minus(u: Form) -> Endo:
     """Inverse of S -> S . psi_plus on its image.
 
     Rejects 3-forms with components along omega ^ (1-forms) or the psi
     lines beyond tolerance; those live outside the image subspace.
     """
-    parts = decompose_three_form(u, tol)
+    parts = decompose_three_form(u)
     stray = max(
         parts.alpha.max_norm(), abs(parts.lam), abs(parts.mu)
     )
-    bad = stray != 0 if u.mode == EXACT else stray > tol
-    if bad:
+    if gate_fails(stray, u.mode):
         raise DecompositionError(
             f"3-form has components outside the symmetric image: {stray}"
         )
     return parts.s
 
 
-def decompose_anti_endo(f: Endo, tol: float = 1e-9) -> tuple[Endo, Form]:
+def decompose_anti_endo(f: Endo) -> tuple[Endo, Form]:
     """Split a J-anticommuting endomorphism as S + K_xi.
 
     S is the symmetric part and K_xi the skew part g(K_xi X, Y) =
     psi_plus(xi, X, Y); returns (S, xi).  Raises if f commutes with J in part.
     """
     anti_err = (j_compose_right(f) + j_compose_left(f)).max_norm()
-    bad = anti_err != 0 if f.mode == EXACT else anti_err > tol
-    if bad:
+    if gate_fails(anti_err, f.mode):
         raise DecompositionError(f"endomorphism does not anticommute with J: {anti_err}")
     s = f.sym_part()
     xi = alpha_map(two_form_from_endo(f.skew_part())).scale(Fraction(1, 2))
     rebuilt = s + vector_cross_endo(xi)
     diff = (f - rebuilt).max_norm()
-    bad = diff != 0 if f.mode == EXACT else diff > tol
-    if bad:
+    if gate_fails(diff, f.mode):
         raise DecompositionError(f"endomorphism decomposition residual {diff}")
     return s, xi

@@ -22,9 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from su3forms.forms import FLOAT, Form, contract, wedge
+from su3forms.forms import Form, contract, wedge
 from su3forms.report import CheckResult, Ledger, VerificationReport, require_count
 from su3forms.structure import (
+    Endo,
     alpha_map,
     complex_structure,
     decompose_three_form,
@@ -44,19 +45,42 @@ CL_TOL = 1e-4
 COCLOSED_GATE_TOL = 1e-6
 RANK_RATIO_MIN = 1e-3
 
-_OM = omega(FLOAT)
-_PP = psi_plus(FLOAT)
-_PM = psi_minus(FLOAT)
-_OM2 = wedge(_OM, _OM)
-_VOL = volume_form(FLOAT)
-_OM_VEC = sp.frame_coeffs_from_form(_OM, 2)
-_J_STD = np.array(
-    [[float(v) for v in complex_structure(FLOAT).rows[i]] for i in range(6)]
-)
+_PP = sp.frame_coeffs_from_form(psi_plus(), 3)
+_OM2 = sp.frame_coeffs_from_form(wedge(omega(), omega()), 4)
+_VOL = sp.frame_coeffs_from_form(volume_form(), 6)
 
 
-def _vec6(u: Form) -> np.ndarray:
-    return np.array([float(u.coeff(1 << i)) for i in range(6)])
+# Kernel operators on frame values, applied as sp.kernel_matrix(op, degree);
+# lefschetz_contract, alpha_map and sym_plus_from_two_form enter directly.
+
+
+def _j(x: Form) -> Form:
+    return complex_structure(x.mode).apply(x)
+
+
+def _into_psi_plus(x: Form) -> Form:
+    return contract(x, psi_plus(x.mode))
+
+
+def _wedge_omega(u: Form) -> Form:
+    return wedge(u, omega(u.mode))
+
+
+def _wedge_psi_plus(u: Form) -> Form:
+    return wedge(u, psi_plus(u.mode))
+
+
+def _wedge_psi_minus(u: Form) -> Form:
+    return wedge(u, psi_minus(u.mode))
+
+
+def _sym_minus_part(u: Form) -> Endo:
+    return decompose_three_form(u).s
+
+
+def _max_norm(v: np.ndarray) -> float:
+    """Largest absolute coefficient; NaN if any coefficient is NaN."""
+    return np.abs(v).max()
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +114,18 @@ def verify_gray(
         f = sp.adapted_frame(p).matrix
         x = f @ rng.standard_normal(6)
         x /= np.linalg.norm(x)
-        xf = sp.frame_vector_form(f.T @ x)
+        xf = f.T @ x
+        x_pp = xf @ sp.kernel_matrix(_into_psi_plus, 1)
+        x_om = xf @ sp.kernel_matrix(_wedge_omega, 1)
         for idx, step in enumerate((h, h / 2)):
             ledger.add("d_omega_vs_psi_plus",
-                       (sp.ext_d(ofield, p, step) - _PP.scale(3.0)).max_norm(), idx)
+                       _max_norm(sp.ext_d(ofield, p, step) - 3.0 * _PP), idx)
             ledger.add("d_psi_minus_vs_omega_sq",
-                       (sp.ext_d(pmfield, p, step) + _OM2.scale(2.0)).max_norm(), idx)
+                       _max_norm(sp.ext_d(pmfield, p, step) + 2.0 * _OM2), idx)
             ledger.add("nabla_omega_vs_contraction",
-                       (sp.covariant_d(ofield, x, p, step) - contract(xf, _PP)).max_norm(),
-                       idx)
+                       _max_norm(sp.covariant_d(ofield, x, p, step) - x_pp), idx)
             ledger.add("nabla_psi_plus_vs_wedge",
-                       (sp.covariant_d(ppfield, x, p, step) + wedge(xf, _OM)).max_norm(),
-                       idx)
+                       _max_norm(sp.covariant_d(ppfield, x, p, step) + x_om), idx)
 
     checks = tuple(
         ledger.result(name, GRAY_TOL, order=(0, 1))
@@ -244,31 +268,28 @@ def verify_linearized(
     ledger = Ledger()
     for p in pts:
         f = sp.adapted_frame(p).matrix
-        ppd_p = sp.form_from_frame_coeffs(
-            sp.pullback_form(pp_dot.ambient(p), 3, f), 3
-        )
-        od_p = sp.form_from_frame_coeffs(
-            sp.pullback_form(bundle.omega_dot.ambient(p), 2, f), 2
-        )
+        ppd_p = sp.pullback_form(pp_dot.ambient(p), 3, f)
+        od_p = sp.pullback_form(bundle.omega_dot.ambient(p), 2, f)
+        od_om = od_p @ sp.kernel_matrix(_wedge_omega, 2)
         mu_p = bundle.mu(p)
         # slot 0: Richardson at h; slots 1 and 2: plain scheme at h and h/2
         for idx, (step, rich) in enumerate(((h, True), (h, False), (h / 2, False))):
             ledger.add(
                 "d_omega_dot_vs_psi_plus_dot",
-                (sp.ext_d(bundle.omega_dot, p, step, richardson=rich)
-                 - ppd_p.scale(3.0)).max_norm(),
+                _max_norm(sp.ext_d(bundle.omega_dot, p, step, richardson=rich)
+                          - 3.0 * ppd_p),
                 idx,
             )
             ledger.add(
                 "d_psi_minus_dot_vs_omega_dot_wedge",
-                (sp.ext_d(bundle.psi_minus_dot, p, step, richardson=rich)
-                 + wedge(od_p, _OM).scale(4.0)).max_norm(),
+                _max_norm(sp.ext_d(bundle.psi_minus_dot, p, step, richardson=rich)
+                          + 4.0 * od_om),
                 idx,
             )
             ledger.add(
                 "five_form_vs_volume",
-                (sp.ext_d(bundle.xi_omega_sq, p, step, richardson=rich)
-                 + _VOL.scale(12.0 * mu_p)).max_norm(),
+                _max_norm(sp.ext_d(bundle.xi_omega_sq, p, step, richardson=rich)
+                          + 12.0 * mu_p * _VOL),
                 idx,
             )
 
@@ -334,7 +355,9 @@ def invariant_two_form_field(
         inv = 0.5 * (beta + sp.pullback_form(beta, 2, sp.cross_matrix(q)))
         if primitive:
             f = sp.adapted_frame(q).matrix
-            c = float(sp.pullback_form(inv, 2, f) @ _OM_VEC) / 3.0
+            # the omega trace <inv, omega> is the dual Lefschetz contraction
+            restricted = sp.pullback_form(inv, 2, f)
+            c = (restricted @ sp.kernel_matrix(lefschetz_contract, 2))[0] / 3.0
             inv = inv - c * sp.omega_ambient(q)
         return inv
 
@@ -349,10 +372,9 @@ def _sym_plus_endo_field(
 
     def h_amb(q: np.ndarray) -> np.ndarray:
         f = sp.adapted_frame(q, selection).matrix
-        fr = sp.form_from_frame_coeffs(sp.pullback_form(phi_field.ambient(q), 2, f), 2)
-        hm = sym_plus_from_two_form(fr)
-        rows = np.array([[float(v) for v in hm.rows[i]] for i in range(6)])
-        return f @ rows @ f.T
+        restricted = sp.pullback_form(phi_field.ambient(q), 2, f)
+        hm = restricted @ sp.kernel_matrix(sym_plus_from_two_form, 2)
+        return f @ hm.reshape(6, 6) @ f.T
 
     return h_amb
 
@@ -363,20 +385,10 @@ def sym_minus_endo_field(gamma: np.ndarray) -> Callable[[np.ndarray], np.ndarray
     the 3-form decomposition, conjugate back.  Equivariance of the
     decomposition makes the result independent of the frame choice."""
 
-    memo: dict[bytes, np.ndarray] = {}
-
     def s_amb(q: np.ndarray) -> np.ndarray:
-        key = q.tobytes()
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         f = sp.adapted_frame(q).matrix
-        fr = sp.form_from_frame_coeffs(sp.pullback_form(gamma, 3, f), 3)
-        s = decompose_three_form(fr).s
-        rows = np.array([[float(v) for v in s.rows[i]] for i in range(6)])
-        out = f @ rows @ f.T
-        memo[key] = out
-        return out
+        s = sp.pullback_form(gamma, 3, f) @ sp.kernel_matrix(_sym_minus_part, 3)
+        return f @ s.reshape(6, 6) @ f.T
 
     return s_amb
 
@@ -428,29 +440,27 @@ def verify_cl_identities(
         for idx, step in enumerate((h, h / 2)):
             div_h = sp.divergence_endo(h_amb, p, step)
             dlam = sp.ext_d(lam_field, p, step)
-            lhs1 = lefschetz_contract(sp.ext_d(phif, p, step))
-            rhs1 = sp.frame_vector_form(div_h) + dlam.scale(2.0)
-            ledger.add("lefschetz_d_phi_vs_divergence", (lhs1 - rhs1).max_norm(), idx)
+            lhs1 = sp.ext_d(phif, p, step) @ sp.kernel_matrix(lefschetz_contract, 3)
+            ledger.add("lefschetz_d_phi_vs_divergence",
+                       _max_norm(lhs1 - (div_h + 2.0 * dlam)), idx)
 
             dphi = sp.codifferential(phif, p, step)
             ledger.add("divergence_h_vs_j_delta_phi",
-                       np.abs(div_h + _J_STD @ _vec6(dphi)).max(), idx)
+                       _max_norm(div_h + dphi @ sp.kernel_matrix(_j, 1)), idx)
 
             div_s = sp.divergence_endo(s_amb, p, step)
             delta_spp = sp.codifferential(s_pp, p, step)
-            lam_d_spm = lefschetz_contract(sp.ext_d(s_pm, p, step))
-            rhs3 = lam_d_spm.scale(-1.0) - contract(
-                sp.frame_vector_form(div_s), _PP
-            ).scale(2.0)
-            ledger.add("delta_s_psi_plus_identity", (delta_spp - rhs3).max_norm(), idx)
+            lam_d_spm = sp.ext_d(s_pm, p, step) @ sp.kernel_matrix(lefschetz_contract, 4)
+            rhs3 = -lam_d_spm - 2.0 * (div_s @ sp.kernel_matrix(_into_psi_plus, 1))
+            ledger.add("delta_s_psi_plus_identity", _max_norm(delta_spp - rhs3), idx)
+            alpha = lam_d_spm @ sp.kernel_matrix(alpha_map, 2)
             ledger.add("alpha_lefschetz_vs_divergence_s",
-                       np.abs(_vec6(alpha_map(lam_d_spm)) + 2.0 * div_s).max(), idx)
+                       _max_norm(alpha + 2.0 * div_s), idx)
             ledger.add("lefschetz_delta_s_psi_plus",
-                       lefschetz_contract(delta_spp).max_norm(), idx)
+                       _max_norm(delta_spp @ sp.kernel_matrix(lefschetz_contract, 2)), idx)
 
     n_gate = max(2, samples // 10)
     for p in sp.random_points(seed + 1, n_gate):
-        columns = []
         units = []
         for i in range(21):
             c = np.zeros(21)
@@ -461,20 +471,23 @@ def verify_cl_identities(
                 lin = np.zeros((7, 21))
                 lin[m, i] = 1.0
                 units.append((np.zeros(21), lin))
-        for c, lin in units:
-            d = sp.codifferential(invariant_two_form_field(c, lin, primitive=True), p, h)
-            columns.append(_vec6(d))
+        columns = [
+            sp.codifferential(invariant_two_form_field(c, lin, primitive=True), p, h)
+            for c, lin in units
+        ]
         kernel = np.linalg.svd(np.column_stack(columns))[2][6:].T
         for _ in range(2):
             k = kernel @ rng.standard_normal(kernel.shape[1])
             k /= np.linalg.norm(k)
             field = invariant_two_form_field(k[:21], k[21:].reshape(7, 21), primitive=True)
-            ledger.add("coclosed_gate",
-                       np.linalg.norm(_vec6(sp.codifferential(field, p, h))))
+            ledger.add("coclosed_gate", np.linalg.norm(sp.codifferential(field, p, h)))
             dphi0 = sp.ext_d(field, p, h)
-            ledger.add("coclosed_d_phi_wedge_psi_plus", wedge(dphi0, _PP).max_norm())
-            ledger.add("coclosed_d_phi_wedge_psi_minus", wedge(dphi0, _PM).max_norm())
-            ledger.add("coclosed_d_phi_lefschetz", lefschetz_contract(dphi0).max_norm())
+            ledger.add("coclosed_d_phi_wedge_psi_plus",
+                       _max_norm(dphi0 @ sp.kernel_matrix(_wedge_psi_plus, 3)))
+            ledger.add("coclosed_d_phi_wedge_psi_minus",
+                       _max_norm(dphi0 @ sp.kernel_matrix(_wedge_psi_minus, 3)))
+            ledger.add("coclosed_d_phi_lefschetz",
+                       _max_norm(dphi0 @ sp.kernel_matrix(lefschetz_contract, 3)))
 
     checks = tuple(
         ledger.result(name, CL_TOL, order=(0, 1))

@@ -187,3 +187,20 @@ def test_exact_decompose_two_form_rejects_non_rational_entries(monkeypatch, caps
     payload = json.dumps({"mode": "exact", "terms": [{"blade": "e12", "coeff": entry}]})
     assert run(["decompose", "--kind", "2form"], payload, monkeypatch) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["2form", "3form", "endo"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_decompose_rejects_non_finite_floats(monkeypatch, capsys, kind, value):
+    if kind == "endo":
+        # symmetric and J-anticommuting, so only the entries' values can fail
+        rows = [[0.0] * 6 for _ in range(6)]
+        rows[0][2] = rows[2][0] = value
+        rows[1][3] = rows[3][1] = -value
+        payload = {"mode": "float", "rows": rows}
+    else:
+        blade = "e12" if kind == "2form" else "e135"
+        payload = {"mode": "float", "terms": [{"blade": blade, "coeff": value}]}
+    assert run(["decompose", "--kind", kind], json.dumps(payload), monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err

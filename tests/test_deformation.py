@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,30 @@ def test_inconsistent_jet_is_rejected_with_diagnostics():
     with pytest.raises(InconsistentJetError) as err:
         jet_to_params(tampered)
     assert "wedge_constraint" in err.value.failures
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_params_fail_validation(value):
+    params = random_params(random.Random(9), FLOAT)
+    rows = [list(row) for row in params.s.rows]
+    rows[0][0] = value
+    bad_s = replace(params, s=Endo(FLOAT, rows))
+    bad_phi = replace(params, phi=params.phi + Form.blade("e12", FLOAT, value))
+    for bad in (bad_s, bad_phi):
+        with pytest.raises(ValueError):
+            bad.validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_jet_is_rejected(value):
+    params = random_params(random.Random(10), FLOAT)
+    jet = params_to_jet(params)
+    # nothing constrains xi alone, so a non-finite xi reaches the jet
+    from_xi = params_to_jet(replace(params, xi=params.xi + Form.blade("e1", FLOAT, value)))
+    tampered = replace(jet, omega_dot=jet.omega_dot + Form.blade("e12", FLOAT, value))
+    for bad in (from_xi, tampered):
+        with pytest.raises(InconsistentJetError):
+            jet_to_params(bad)
 
 
 def test_scaled_psi_plus_dot_breaks_norm_constraint():

@@ -9,16 +9,35 @@ import pytest
 
 from oracles import det_oracle
 from su3forms import sphere as sp
+from su3forms import suites
+from su3forms.sphere import frame_coeffs_from_form as coeffs
 from su3forms.forms import FLOAT, Form, contract, hodge_star, wedge
-from su3forms.structure import Endo, omega, psi_minus, psi_plus, volume_form
+from su3forms.structure import (
+    Endo,
+    alpha_map,
+    endo_act,
+    lefschetz_contract,
+    omega,
+    psi_minus,
+    psi_plus,
+    sym_plus_from_two_form,
+    volume_form,
+)
 from su3forms.deformation import DeformationParams, params_to_jet
-from su3forms.suites import sphere_deformation, verify_gray
+from su3forms.suites import sphere_deformation, verify_cl_identities, verify_gray
 
-OM = omega(FLOAT)
-PP = psi_plus(FLOAT)
-PM = psi_minus(FLOAT)
+
+OM = coeffs(omega(), 2)
+PP = coeffs(psi_plus(), 3)
+PM = coeffs(psi_minus(), 3)
+OM2 = coeffs(wedge(omega(), omega()), 4)
+VOL = coeffs(volume_form(), 6)
 
 POINTS = sp.random_points(7, 40)
+
+
+def max_abs(v: np.ndarray) -> float:
+    return np.abs(v).max()
 
 
 def test_cross_product_identities():
@@ -57,10 +76,10 @@ def test_adapted_frame_orthonormal_and_adapted():
 
 def test_structure_normal_forms():
     for q in POINTS:
-        st = sp.structure_at(q)
-        assert (st.omega - OM).max_norm() < 1e-12
-        assert (st.psi_plus - PP).max_norm() < 1e-12
-        assert (st.psi_minus - PM).max_norm() < 1e-12
+        f = sp.adapted_frame(q).matrix
+        assert max_abs(sp.pullback_form(sp.omega_ambient(q), 2, f) - OM) < 1e-12
+        assert max_abs(sp.pullback_form(sp.associative_three_form(), 3, f) - PP) < 1e-12
+        assert max_abs(sp.pullback_form(sp.psi_minus_ambient(q), 3, f) - PM) < 1e-12
 
 
 def test_frame_selection_is_reusable():
@@ -103,18 +122,17 @@ def test_batched_chart_differential_is_the_jacobian():
 def test_psi_plus_field_is_closed():
     ppf = sp.psi_plus_field()
     for q in POINTS[:6]:
-        assert sp.ext_d(ppf, q, 1e-3).max_norm() < 5e-9
+        assert max_abs(sp.ext_d(ppf, q, 1e-3)) < 5e-9
 
 
 def test_gray_equations_and_convergence():
     ofield = sp.omega_field()
     pmfield = sp.psi_minus_field()
-    om2 = wedge(OM, OM)
     for q in POINTS[:8]:
-        r1 = (sp.ext_d(ofield, q, 1e-3) - PP.scale(3.0)).max_norm()
-        r2 = (sp.ext_d(pmfield, q, 1e-3) + om2.scale(2.0)).max_norm()
+        r1 = max_abs(sp.ext_d(ofield, q, 1e-3) - 3.0 * PP)
+        r2 = max_abs(sp.ext_d(pmfield, q, 1e-3) + 2.0 * OM2)
         assert r1 < 1e-5 and r2 < 1e-5
-        half = (sp.ext_d(ofield, q, 5e-4) - PP.scale(3.0)).max_norm()
+        half = max_abs(sp.ext_d(ofield, q, 5e-4) - 3.0 * PP)
         assert 3.0 < r1 / half < 5.0  # second order
 
 
@@ -126,9 +144,11 @@ def test_covariant_derivative_relations():
         f = sp.adapted_frame(q).matrix
         x = f @ rng.standard_normal(6)
         x /= np.linalg.norm(x)
-        xf = sp.frame_vector_form(f.T @ x)
-        r1 = (sp.covariant_d(ofield, x, q, 1e-3) - contract(xf, PP)).max_norm()
-        r2 = (sp.covariant_d(ppfield, x, q, 1e-3) + wedge(xf, OM)).max_norm()
+        xf = Form.vector(list(f.T @ x), FLOAT)
+        x_pp = coeffs(contract(xf, psi_plus(FLOAT)), 2)
+        x_om = coeffs(wedge(xf, omega(FLOAT)), 3)
+        r1 = max_abs(sp.covariant_d(ofield, x, q, 1e-3) - x_pp)
+        r2 = max_abs(sp.covariant_d(ppfield, x, q, 1e-3) + x_om)
         assert r1 < 1e-5 and r2 < 1e-5
 
 
@@ -141,9 +161,8 @@ def test_first_harmonic_hessian():
         f = sp.adapted_frame(q).matrix
         x = f @ rng.standard_normal(6)
         x /= np.linalg.norm(x)
-        xf = sp.frame_vector_form(f.T @ x)
         lhs = sp.covariant_d(dmu, x, q, 1e-3)
-        assert (lhs + xf.scale(a @ q)).max_norm() < 1e-5
+        assert max_abs(lhs + (a @ q) * (f.T @ x)) < 1e-5
 
 
 def test_laplacian_eigenfunctions():
@@ -158,14 +177,10 @@ def test_laplacian_eigenfunctions():
 def test_richardson_sharpens_ext_d():
     bundle = sphere_deformation(np.eye(7)[6])
     q = POINTS[2]
-    plain = (
-        sp.ext_d(bundle.xi_omega_sq, q, 1e-3)
-        + volume_form(FLOAT).scale(12.0 * bundle.mu(q))
-    ).max_norm()
-    rich = (
-        sp.ext_d(bundle.xi_omega_sq, q, 1e-3, richardson=True)
-        + volume_form(FLOAT).scale(12.0 * bundle.mu(q))
-    ).max_norm()
+    plain = max_abs(sp.ext_d(bundle.xi_omega_sq, q, 1e-3) + 12.0 * bundle.mu(q) * VOL)
+    rich = max_abs(
+        sp.ext_d(bundle.xi_omega_sq, q, 1e-3, richardson=True) + 12.0 * bundle.mu(q) * VOL
+    )
     assert rich < plain / 100.0
 
 
@@ -173,9 +188,9 @@ def test_codifferential_on_structure_forms():
     ofield = sp.omega_field()
     ppfield = sp.psi_plus_field()
     for q in POINTS[:6]:
-        assert sp.codifferential(ofield, q, 1e-3).max_norm() < 1e-9
+        assert max_abs(sp.codifferential(ofield, q, 1e-3)) < 1e-9
         # delta psi_plus = -*d*psi_plus = -*d(psi_minus) = 4 omega
-        r = (sp.codifferential(ppfield, q, 1e-3) - OM.scale(4.0)).max_norm()
+        r = max_abs(sp.codifferential(ppfield, q, 1e-3) - 4.0 * OM)
         assert r < 1e-5
 
 
@@ -194,34 +209,26 @@ def test_deformation_bundle_matches_flat_jet():
         f = sp.adapted_frame(q).matrix
         xi_frame = f.T @ bundle.xi(q)
         params = DeformationParams(
-            xi=sp.frame_vector_form(xi_frame),
+            xi=Form.vector(list(xi_frame), FLOAT),
             s=Endo.zero(FLOAT),
             phi=Form.zero(FLOAT),
             mu=float(bundle.mu(q)),
         )
         jet = params_to_jet(params)
-        od = sp.form_from_frame_coeffs(
-            sp.pullback_form(bundle.omega_dot.ambient(q), 2, f), 2
-        )
-        ppd = sp.form_from_frame_coeffs(
-            sp.pullback_form(bundle.psi_plus_dot.ambient(q), 3, f), 3
-        )
-        pmd = sp.form_from_frame_coeffs(
-            sp.pullback_form(bundle.psi_minus_dot.ambient(q), 3, f), 3
-        )
-        assert (jet.omega_dot - od).max_norm() < 1e-12
-        assert (jet.psi_plus_dot - ppd).max_norm() < 1e-12
-        assert (jet.psi_minus_dot - pmd).max_norm() < 1e-12
+        od = sp.pullback_form(bundle.omega_dot.ambient(q), 2, f)
+        ppd = sp.pullback_form(bundle.psi_plus_dot.ambient(q), 3, f)
+        pmd = sp.pullback_form(bundle.psi_minus_dot.ambient(q), 3, f)
+        assert max_abs(coeffs(jet.omega_dot, 2) - od) < 1e-12
+        assert max_abs(coeffs(jet.psi_plus_dot, 3) - ppd) < 1e-12
+        assert max_abs(coeffs(jet.psi_minus_dot, 3) - pmd) < 1e-12
 
 
 def test_star_field_matches_kernel_star():
     q = POINTS[3]
     starred = sp.star_field(sp.omega_field(), q)
     f = sp.adapted_frame(q).matrix
-    restricted = sp.form_from_frame_coeffs(
-        sp.pullback_form(starred.ambient(q), 4, f), 4
-    )
-    assert (restricted - hodge_star(OM)).max_norm() < 1e-12
+    restricted = sp.pullback_form(starred.ambient(q), 4, f)
+    assert max_abs(restricted - coeffs(hodge_star(omega()), 4)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +272,60 @@ def test_psi_minus_table_matches_derivation_action():
     for q in POINTS[:10]:
         direct = sp.endo_act_ambient(sp.cross_matrix(q), phi, 3) / 3.0
         assert np.abs(sp.psi_minus_ambient(q) - direct).max() < 1e-15
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_endo_act_ambient_matches_kernel_on_a_hyperplane(k):
+    # matrices and forms that leave out the seventh axis are six-dimensional
+    rng = np.random.default_rng(29)
+    a6 = rng.standard_normal((6, 6))
+    u6 = rng.standard_normal(len(sp.combos(6, k)))
+    six = [pos for pos, c in enumerate(sp.combos(7, k)) if 6 not in c]
+    m7 = np.zeros((7, 7))
+    m7[:6, :6] = a6
+    u7 = sp.zero_coeffs(7, k)
+    u7[six] = u6
+    ambient = sp.endo_act_ambient(m7, u7, k)
+    u = Form(FLOAT, {sum(1 << i for i in c): x for c, x in zip(sp.combos(6, k), u6)})
+    kernel = coeffs(endo_act(Endo(FLOAT, a6.tolist()), u), k)
+    assert np.abs(ambient[six] - kernel).max() < 1e-12
+    assert np.abs(np.delete(ambient, six)).max() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# kernel operators as exact matrices
+
+
+KERNEL_OPERATORS = [
+    *((hodge_star, k) for k in range(7)),
+    *((lefschetz_contract, k) for k in (2, 3, 4)),
+    (alpha_map, 2),
+    (sym_plus_from_two_form, 2),
+    (suites._j, 1),
+    (suites._into_psi_plus, 1),
+    (suites._wedge_omega, 1),
+    (suites._wedge_omega, 2),
+    (suites._wedge_psi_plus, 3),
+    (suites._wedge_psi_minus, 3),
+    (suites._sym_minus_part, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "op, k", KERNEL_OPERATORS, ids=[f"{op.__name__}-{k}" for op, k in KERNEL_OPERATORS]
+)
+def test_kernel_matrix_applies_the_kernel_operator(op, k):
+    rng = np.random.default_rng(31 + k)
+    matrix = sp.kernel_matrix(op, k)
+    for _ in range(3):
+        u = Form(FLOAT, {sum(1 << i for i in c): rng.standard_normal() for c in sp.combos(6, k)})
+        image = op(u)
+        if isinstance(image, Form):
+            expected = coeffs(image, image.degree or 0)
+        else:
+            expected = np.array(image.flat())
+        assert expected.shape == (matrix.shape[1],)
+        assert np.abs(coeffs(u, k) @ matrix - expected).max() < 1e-12
 
 
 def _clear_sphere_caches() -> None:
@@ -312,5 +373,27 @@ def test_stencil_table_defect_is_caught(fresh_sphere_caches, monkeypatch, name, 
     monkeypatch.setattr(sp, name, defect(getattr(sp, name)))
     _clear_sphere_caches()
     report = verify_gray(samples=2)
+    assert not report.all_passed
+    assert max(c.max_residual for c in report.checks) > 1e-2
+
+
+def _flipped_star_sign(kernel_matrix):
+    # one sign of the Hodge star on 2-forms, which star_field applies to
+    # every 2-form field the codifferential sees
+    def patched(op, k):
+        out = kernel_matrix(op, k)
+        if op is hodge_star and k == 2:
+            out = out.copy()
+            out[tuple(np.argwhere(out)[0])] *= -1.0
+        return out
+
+    return patched
+
+
+def test_star_matrix_defect_is_caught(fresh_sphere_caches, monkeypatch):
+    assert verify_cl_identities(samples=2).all_passed
+    monkeypatch.setattr(sp, "kernel_matrix", _flipped_star_sign(sp.kernel_matrix))
+    _clear_sphere_caches()
+    report = verify_cl_identities(samples=2)
     assert not report.all_passed
     assert max(c.max_residual for c in report.checks) > 1e-2
