@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import Mapping
 
 from su3forms.forms import (
+    FLOAT,
     AlgebraError,
     DegreeError,
     Form,
@@ -93,6 +95,9 @@ class DeformationParams:
             raise DegreeError("xi must be a 1-form")
         if self.phi.degrees not in ((), (2,)):
             raise DegreeError("phi must be a 2-form")
+        values = (*self.xi.components(), self.mu)
+        if self.mode == FLOAT and not all(map(isfinite, values)):
+            raise ValueError(f"xi and mu must be finite: xi {self.xi}, mu {self.mu}")
         s_err = sym_minus_residual(self.s)
         if gate_fails(s_err, self.mode):
             raise ValueError(f"S is not symmetric J-anticommuting: residual {s_err}")
@@ -271,20 +276,3 @@ def jet_to_params(jet: SU3Jet) -> DeformationParams:
     if gate_fails(xi_err, mode):
         raise InconsistentJetError(["xi_from_j_dot"])
     return DeformationParams(xi, s, phi, mu)
-
-
-def linearized_gray_lhs(
-    jet: SU3Jet, d_omega_dot: Form, d_psi_minus_dot: Form
-) -> tuple[Form, Form]:
-    """Residual forms of the linearized Gray system.
-
-    Given the exterior derivatives of omega_dot and psi_minus_dot (supplied
-    by a caller that can differentiate fields), returns
-
-        (d omega_dot - 3 psi_plus_dot,  d psi_minus_dot + 4 omega_dot ^ omega).
-    """
-    om = omega(jet.mode)
-    return (
-        d_omega_dot - jet.psi_plus_dot.scale(3),
-        d_psi_minus_dot + wedge(jet.omega_dot, om).scale(4),
-    )

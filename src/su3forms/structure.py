@@ -14,6 +14,14 @@ This module provides the endomorphism action on forms, real (p,q)-type
 projections, the dual Lefschetz contraction, and the irreducible-module
 decompositions of 2-forms, 3-forms and J-anticommuting endomorphisms that the
 deformation layer is built on.
+
+By Schur's lemma each of these equivariant projections is a contraction with
+omega and psi_plus/psi_minus.  With alpha(a)_i = <a, e_i -| psi_plus>:
+
+    (2,0) part of a 2-form a:  alpha(a) -| psi_plus / 2
+    (3,0) part of a 3-form u:  (<u, psi_plus> psi_plus + <u, psi_minus> psi_minus) / 4
+    S part of a 3-form u:      -(C + JCJ) / 8,  C = B + B^T,
+                               B_ij = <e_i -| u, e_j -| psi_plus>
 """
 
 from __future__ import annotations
@@ -41,10 +49,10 @@ from su3forms.forms import (
     _max_abs,
     _numerators,
     _wedge_sums,
-    blades_of_degree,
+    blade_from_name,
     coerce_scalar,
     contract,
-    contract_basis,
+    hodge_star,
     inner,
     scalar_zero,
     wedge,
@@ -224,9 +232,23 @@ def _dot(xs: Sequence[Scalar], ys: Sequence[Scalar], zero: Scalar) -> Scalar:
 # ---------------------------------------------------------------------------
 # the standard structure tensors
 
-_OMEGA_TERMS = {"e12": 1, "e34": 1, "e56": 1}
-_PSI_PLUS_TERMS = {"e135": 1, "e146": -1, "e236": -1, "e245": -1}
-_PSI_MINUS_TERMS = {"e136": 1, "e145": 1, "e235": 1, "e246": -1}
+
+def _blade_terms(terms: dict[str, int]) -> dict[int, int]:
+    return {blade_from_name(n): c for n, c in terms.items()}
+
+
+# integer coefficients by blade, read as loop numerators in both modes
+_OMEGA_TERMS = _blade_terms({"e12": 1, "e34": 1, "e56": 1})
+_PSI_PLUS_TERMS = _blade_terms({"e135": 1, "e146": -1, "e236": -1, "e245": -1})
+_PSI_MINUS_TERMS = _blade_terms({"e136": 1, "e145": 1, "e235": 1, "e246": -1})
+
+#: psi_plus and psi_minus: orthogonal, squared norm 4, spanning the (3,0) forms
+_PSI_LINES = (_PSI_PLUS_TERMS, _PSI_MINUS_TERMS)
+
+#: e_i -| psi_plus: orthogonal, squared norm 2, spanning the (2,0) forms
+_PSI_PLUS_CONTRACTIONS = tuple(
+    _contract_basis_terms(i, _PSI_PLUS_TERMS) for i in range(DIM)
+)
 
 # J e_{2i-1} = e_{2i}, J e_{2i} = -e_{2i-1}
 _J_ROWS = (
@@ -239,28 +261,22 @@ _J_ROWS = (
 )
 
 
-def _named_form(terms: dict[str, int], mode: str) -> Form:
-    from su3forms.forms import blade_from_name
-
-    return Form(mode, {blade_from_name(n): c for n, c in terms.items()})
-
-
 @cache
 def omega(mode: str = EXACT) -> Form:
     """The fundamental 2-form e12 + e34 + e56."""
-    return _named_form(_OMEGA_TERMS, mode)
+    return Form(mode, _OMEGA_TERMS)
 
 
 @cache
 def psi_plus(mode: str = EXACT) -> Form:
     """Real part of the complex volume form."""
-    return _named_form(_PSI_PLUS_TERMS, mode)
+    return Form(mode, _PSI_PLUS_TERMS)
 
 
 @cache
 def psi_minus(mode: str = EXACT) -> Form:
     """Imaginary part of the complex volume form, equal to *psi_plus."""
-    return _named_form(_PSI_MINUS_TERMS, mode)
+    return Form(mode, _PSI_MINUS_TERMS)
 
 
 @cache
@@ -305,33 +321,9 @@ def endo_act(a: Endo, u: Form) -> Form:
     return _from_numerators(u.mode, {m: -v for m, v in out.items()}, da * du)
 
 
-@cache
-def _j_squared_blade_map(degree: int) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Integer blade matrix of the squared J derivation action per degree."""
-    j = complex_structure(EXACT)
-    out = {}
-    for m in blades_of_degree(degree):
-        img = endo_act(j, endo_act(j, Form(EXACT, {m: 1})))
-        out[m] = tuple((m2, int(c)) for m2, c in img.terms())
-    return out
-
-
-def _j_squared_sums(u: dict[int, Scalar], degree: int) -> dict[int, Scalar]:
-    """Squared J action on the coefficients of a degree-k form, zeros dropped."""
-    table = _j_squared_blade_map(degree)
-    acc: dict[int, Scalar] = {}
-    for m, c in sorted(u.items()):
-        for m2, w in table[m]:
-            term = c * w
-            if m2 in acc:
-                acc[m2] += term
-            else:
-                acc[m2] = term
-    return {m: v for m, v in acc.items() if v}
-
-
 # real type components present in each degree, keyed by (p, q) with p >= q,
-# with the eigenvalue of the squared J action
+# with the eigenvalue of the squared J action; `type_project` reads only the
+# keys, and the identity suite checks its projections against the values
 TYPE_EIGENVALUES: dict[int, dict[tuple[int, int], int]] = {
     0: {(0, 0): 0},
     1: {(1, 0): -1},
@@ -343,36 +335,51 @@ TYPE_EIGENVALUES: dict[int, dict[tuple[int, int], int]] = {
 }
 
 
+def _line_projection(
+    u: Form, lines: Sequence[dict[int, int]], norm_sq: int, onto: bool
+) -> Form:
+    """sum_l <u, l> l / norm_sq over orthogonal integer lines l of squared
+    norm norm_sq, or the rest of u if not onto."""
+    mode = u.mode
+    nums, den = _form_numerators(u)
+    part: dict[int, Scalar] = {}
+    for line in lines:
+        c = _inner_sum(nums, line, 0)
+        if c:
+            _add_into(part, ((m, c * v) for m, v in line.items()))
+    if not onto:
+        rest = {m: norm_sq * v for m, v in nums.items()}
+        _add_into(rest, ((m, -v) for m, v in part.items()))
+        part = rest
+    if mode == FLOAT:
+        # norm_sq is a power of two, so this division rounds nothing
+        return Form._trusted(FLOAT, {m: v / norm_sq for m, v in part.items()})
+    return _from_numerators(mode, part, den * norm_sq)
+
+
 def type_project(u: Form, p: int, q: int) -> Form:
     """Projection of a homogeneous form onto its real (p,q)+(q,p) component.
 
-    Built as the polynomial in the squared J action that is 1 on the -(p-q)^2
-    eigenspace and 0 on the other type components of the degree.
+    On 2-forms the (2,0) part is (1/2) alpha(u) -| psi_plus, on 3-forms the
+    (3,0) part is (<u, psi_plus> psi_plus + <u, psi_minus> psi_minus) / 4,
+    and the (1,1) and (2,1) parts are the remainders.  On 4-forms the Hodge
+    star carries type (p,q) to the 2-form type (3-q, 3-p).  Degrees 0, 1, 5
+    and 6 have a single type, projected by the identity.
     """
     if p < q:
         p, q = q, p
     k = u.degree
     if k is None:
         return u
-    table = TYPE_EIGENVALUES[k]
-    if (p, q) not in table:
+    if (p, q) not in TYPE_EIGENVALUES[k]:
         raise ValueError(f"degree {k} has no ({p},{q}) component")
-    target = table[(p, q)]
-    mode = u.mode
-    out, den = _form_numerators(u)
-    for pq, ev in table.items():
-        if pq == (p, q):
-            continue
-        # out <- (J^2 out - ev out) / (target - ev)
-        acc = _j_squared_sums(out, k)
-        if ev:
-            _add_into(acc, ((m, -(ev * v)) for m, v in out.items()))
-        if mode == EXACT:
-            out, den = acc, den * (target - ev)
-        else:
-            inv = coerce_scalar(Fraction(1, target - ev), mode)
-            out = {m: w for m, w in ((m, inv * v) for m, v in acc.items()) if w}
-    return _from_numerators(mode, out, den)
+    if k == 2:
+        return _line_projection(u, _PSI_PLUS_CONTRACTIONS, 2, p == 2)
+    if k == 3:
+        return _line_projection(u, _PSI_LINES, 4, p == 3)
+    if k == 4:
+        return hodge_star(type_project(hodge_star(u), 3 - q, 3 - p))
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +411,9 @@ def alpha_map(a: Form) -> Form:
     inverts the embedding of vectors into (2,0)+(0,2) forms via psi_plus and
     sends X -| psi_minus to -2JX.
     """
-    pp = psi_plus(a.mode)
-    return Form.vector(
-        [inner(a, contract_basis(i, pp)) for i in range(DIM)], a.mode
-    )
+    nums, den = _form_numerators(a)
+    sums = (_inner_sum(nums, t, 0) for t in _PSI_PLUS_CONTRACTIONS)
+    return _from_numerators(a.mode, {1 << i: c for i, c in enumerate(sums)}, den)
 
 
 def vector_cross_endo(xi: Form, three_form: Form | None = None) -> Endo:
@@ -554,62 +560,6 @@ def sym_minus_residual(a: Endo) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise DecompositionError("singular system in exact solve")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
-@cache
-def _sym_minus_images(mode: str) -> tuple[Form, ...]:
-    return tuple(endo_act(b, psi_plus(mode)) for b in sym_minus_basis(mode))
-
-
-@cache
-def _sym_gram_inverse() -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse Gram matrix of the forms B_i . psi_plus, B_i in the basis."""
-    images = _sym_minus_images(EXACT)
-    n = len(images)
-    gram = [[inner(images[i], images[j]) for j in range(n)] for i in range(n)]
-    cols = []
-    for j in range(n):
-        e = [Fraction(1 if i == j else 0) for i in range(n)]
-        cols.append(_solve_exact(gram, e))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-@cache
-def _sym_solve_numerators(mode: str) -> tuple:
-    """What `decompose_three_form` solves with, as loop operands.
-
-    Returns the images B_j . psi_plus and the rows of their inverse Gram
-    matrix, each table as numerators over one denominator, and the product
-    of the two denominators.
-    """
-    images = _sym_minus_images(mode)
-    image_nums, d_images = _numerator_rows([list(b._c.values()) for b in images], mode)
-    ginv, d_ginv = _numerator_rows(
-        [[coerce_scalar(x, mode) for x in row] for row in _sym_gram_inverse()], mode
-    )
-    image_nums = tuple(dict(zip(b._c, nums)) for b, nums in zip(images, image_nums))
-    return image_nums, ginv, d_images * d_ginv
-
-
-# ---------------------------------------------------------------------------
 # decompositions
 
 
@@ -678,8 +628,8 @@ def decompose_two_form(a: Form) -> TwoFormParts:
         raise DegreeError("decompose_two_form needs a 2-form")
     om = omega(a.mode)
     c = inner(a, om) / coerce_scalar(3, a.mode)
-    anti = type_project(a, 2, 0)
-    xi = alpha_map(anti).scale(Fraction(1, 2))
+    # alpha vanishes on (1,1)-forms
+    xi = alpha_map(a).scale(Fraction(1, 2))
     primitive = type_project(a, 1, 1) - om.scale(c)
     parts = TwoFormParts(primitive, c, xi)
     _residual_guard(a, parts.reconstruct(), "2-form decomposition")
@@ -689,9 +639,8 @@ def decompose_two_form(a: Form) -> TwoFormParts:
 def decompose_three_form(u: Form) -> ThreeFormParts:
     """Split a 3-form into alpha ^ omega, psi lines and the symmetric part.
 
-    alpha and the psi coefficients come from contractions; the symmetric
-    endomorphism is recovered by an exact Gram solve in the fixed basis of
-    `sym_minus_basis`.
+    Every part is a contraction (see the module docstring); the alpha ^ omega
+    and psi parts of u contribute exactly zero to S.
     """
     if u.degrees not in ((), (3,)):
         raise DegreeError("decompose_three_form needs a 3-form")
@@ -700,22 +649,23 @@ def decompose_three_form(u: Form) -> ThreeFormParts:
     alpha = lefschetz_contract(u).scale(Fraction(1, 2))
     lam = inner(u, psi_plus(mode)) / four
     mu = inner(u, psi_minus(mode)) / four
-    rest = (
-        u
-        - wedge(alpha, omega(mode))
-        - psi_plus(mode).scale(lam)
-        - psi_minus(mode).scale(mu)
-    )
-    # S = sum_i c_i B_i with c = G^-1 (<rest, B_j . psi_plus>)_j, the sums
-    # taken over numerators
-    images, ginv, den = _sym_solve_numerators(mode)
-    n_rest, d_rest = _form_numerators(rest)
+    nums, den = _form_numerators(u)
     zero = 0.0 if mode == FLOAT else 0
-    rhs = [_inner_sum(n_rest, img, zero) for img in images]
-    coeffs = [sum((g * r for g, r in zip(row, rhs)), zero) for row in ginv]
+    b = []
+    for i in range(DIM):
+        contracted = _contract_basis_terms(i, nums)
+        b.append([_inner_sum(contracted, t, zero) for t in _PSI_PLUS_CONTRACTIONS])
+    c = [[b[i][j] + b[j][i] for j in range(DIM)] for i in range(DIM)]
+    # -8 S = C + JCJ, and (JCJ)_ij = -C_{i^1, j^1} if i + j is even, else +
+    rows = [
+        [c[i][j] + (-1) ** (i + j + 1) * c[i ^ 1][j ^ 1] for j in range(DIM)]
+        for i in range(DIM)
+    ]
     if mode == EXACT:
-        coeffs = [Fraction(c, den * d_rest) for c in coeffs]
-    parts = ThreeFormParts(alpha, lam, mu, sym_minus_combination(coeffs, mode))
+        rows = [[Fraction(-x, 8 * den) for x in r] for r in rows]
+    else:
+        rows = [[zero - x / 8 for x in r] for r in rows]
+    parts = ThreeFormParts(alpha, lam, mu, Endo._trusted(mode, rows))
     _residual_guard(u, parts.reconstruct(), "3-form decomposition")
     return parts
 

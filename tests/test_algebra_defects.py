@@ -1,10 +1,14 @@
 """The exact identity suite against defects injected into the flat kernel.
 
 Each defect corrupts one table the kernel reads: an entry of the wedge sign
-table, an eigenvalue of the squared J action, or the matrix of J itself.
-The cached structure tensors are rebuilt under the defect, and a named
-identity must then fail with a nonzero residual while it passes on the
-intact kernel.
+table, the matrix of J, an entry of the e_i -| psi_plus table behind alpha,
+the (2,0) projection and the S part of a 3-form, or the psi lines of the
+(3,0) projection.  A wrong eigenvalue of the squared J action corrupts the
+expectation of `type_projector_algebra` instead; `TYPE_EIGENVALUES` feeds
+nothing else but the (p,q) check of `type_project`.  The caches are cleared,
+the defect is patched in, and a named identity must then fail while it
+passes on the intact kernel: with a nonzero residual, or by the residual
+guard of a decomposition raising inside it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from su3forms import forms, identities, structure
+from su3forms.forms import DecompositionError
 from su3forms.identities import run_algebra_suite
 
 #: modules whose functools caches hold values derived from the kernel tables
@@ -43,8 +48,8 @@ def _exact_check(name: str):
 def _assert_caught(name: str, inject) -> None:
     clean = _exact_check(name)
     assert clean.passed and clean.max_residual == 0.0
-    inject()
     _clear_caches()
+    inject()
     broken = _exact_check(name)
     assert not broken.passed
     assert broken.max_residual > 0.0
@@ -72,6 +77,29 @@ def test_transposed_complex_structure_is_caught(fresh_caches, monkeypatch):
     _assert_caught(
         "psi_minus_from_j",
         lambda: monkeypatch.setattr(structure, "_J_ROWS", transposed),
+    )
+
+
+def test_flipped_psi_plus_contraction_is_caught(fresh_caches, monkeypatch):
+    name = "three_form_round_trip"
+    # run the named check alone, so that the guard can only raise inside it
+    monkeypatch.setattr(
+        identities, "CHECKS", tuple(c for c in identities.CHECKS if c[0] == name)
+    )
+    clean = _exact_check(name)
+    assert clean.passed and clean.max_residual == 0.0
+    _clear_caches()
+    table = [dict(t) for t in structure._PSI_PLUS_CONTRACTIONS]
+    table[0][0b010100] = -table[0][0b010100]  # e35 in e1 -| psi_plus
+    monkeypatch.setattr(structure, "_PSI_PLUS_CONTRACTIONS", tuple(table))
+    with pytest.raises(DecompositionError, match="3-form decomposition residual"):
+        _exact_check(name)
+
+
+def test_dropped_psi_minus_line_is_caught(fresh_caches, monkeypatch):
+    _assert_caught(
+        "type_projector_algebra",
+        lambda: monkeypatch.setattr(structure, "_PSI_LINES", structure._PSI_LINES[:1]),
     )
 
 

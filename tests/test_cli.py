@@ -4,10 +4,28 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from su3forms import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: algebra-only use: the library suite, a decomposition and the CLI command
+_ALGEBRA_ONLY = """
+import sys
+from su3forms import cli
+from su3forms.identities import run_algebra_suite
+from su3forms.structure import decompose_three_form, psi_plus
+assert run_algebra_suite(1, mode="exact").all_passed
+decompose_three_form(psi_plus())
+assert cli.main(["verify-algebra", "--trials", "1"]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
 
 
 def run(argv, stdin=None, monkeypatch=None):
@@ -23,6 +41,16 @@ def test_verify_algebra_passes(capsys):
     assert cli.main(["verify-algebra", "--trials", "3"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out and "FAIL" not in out
+
+
+def test_algebra_use_never_imports_numpy():
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ALGEBRA_ONLY],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_verify_algebra_float_mode():
@@ -159,7 +187,7 @@ def test_failure_exits_one(monkeypatch, capsys):
             "gray", h, samples, seed, [CheckResult("broken", 1.0, None, False)]
         )
 
-    monkeypatch.setattr(cli.suites, "verify_gray", fake)
+    monkeypatch.setattr("su3forms.suites.verify_gray", fake)
     assert cli.main(["verify-s6", "--suite", "gray", "--samples", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out
 

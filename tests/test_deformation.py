@@ -17,7 +17,6 @@ from su3forms.deformation import (
     SU3Jet,
     check_jet_consistency,
     jet_to_params,
-    linearized_gray_lhs,
     params_to_jet,
 )
 from su3forms.forms import EXACT, FLOAT, Form, wedge
@@ -218,17 +217,22 @@ def test_non_finite_params_fail_validation(value):
     rows[0][0] = value
     bad_s = replace(params, s=Endo(FLOAT, rows))
     bad_phi = replace(params, phi=params.phi + Form.blade("e12", FLOAT, value))
-    for bad in (bad_s, bad_phi):
+    bad_xi = replace(params, xi=params.xi + Form.blade("e1", FLOAT, value))
+    bad_mu = replace(params, mu=value)
+    for bad in (bad_s, bad_phi, bad_xi, bad_mu):
         with pytest.raises(ValueError):
             bad.validate()
+        with pytest.raises(ValueError):
+            params_to_jet(bad)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_jet_is_rejected(value):
     params = random_params(random.Random(10), FLOAT)
     jet = params_to_jet(params)
-    # nothing constrains xi alone, so a non-finite xi reaches the jet
-    from_xi = params_to_jet(replace(params, xi=params.xi + Form.blade("e1", FLOAT, value)))
+    # a non-finite xi enters psi_plus_dot through -xi ^ omega
+    xi_term = wedge(Form.blade("e1", FLOAT, value), omega(FLOAT))
+    from_xi = replace(jet, psi_plus_dot=jet.psi_plus_dot - xi_term)
     tampered = replace(jet, omega_dot=jet.omega_dot + Form.blade("e12", FLOAT, value))
     for bad in (from_xi, tampered):
         with pytest.raises(InconsistentJetError):
@@ -249,32 +253,6 @@ def test_scaled_psi_plus_dot_breaks_norm_constraint():
     )
     res = check_jet_consistency(tampered)
     assert res["norm_constraint"] != 0
-
-
-# ---------------------------------------------------------------------------
-# linearized Gray residuals (pointwise algebra; field derivatives supplied)
-
-
-def test_linearized_gray_lhs_zero_jet():
-    jet = SU3Jet.zero(EXACT)
-    r1, r2 = linearized_gray_lhs(jet, Form.zero(EXACT), Form.zero(EXACT))
-    assert r1.is_zero() and r2.is_zero()
-
-
-def test_linearized_gray_lhs_detects_scaled_psi_plus_dot():
-    rng = random.Random(9)
-    jet = params_to_jet(random_params(rng))
-    # pretend the field derivatives are exactly right, then scale psi_plus_dot
-    d_omega_dot = jet.psi_plus_dot.scale(3)
-    d_psi_minus_dot = wedge(jet.omega_dot, omega()).scale(-4)
-    r1, r2 = linearized_gray_lhs(jet, d_omega_dot, d_psi_minus_dot)
-    assert r1.is_zero() and r2.is_zero()
-    tampered = SU3Jet(
-        jet.g_dot, jet.j_dot, jet.omega_dot,
-        jet.psi_plus_dot.scale(2), jet.psi_minus_dot,
-    )
-    r1, r2 = linearized_gray_lhs(tampered, d_omega_dot, d_psi_minus_dot)
-    assert r1 == jet.psi_plus_dot.scale(-3)
 
 
 # ---------------------------------------------------------------------------

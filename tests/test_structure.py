@@ -199,6 +199,14 @@ def test_projection_eigenvalues():
             assert jj == proj.scale(ev)
 
 
+@pytest.mark.parametrize("k", range(DIM + 1))
+def test_float_projections_match_the_exact_ones(k):
+    u = random_form(random.Random(k), k)
+    for p, q in TYPE_EIGENVALUES[k]:
+        exact = type_project(u, p, q).to_float()
+        assert type_project(u.to_float(), p, q).isclose(exact)
+
+
 def test_type_project_rejects_absent_component():
     with pytest.raises(ValueError):
         type_project(OMEGA, 2, 1)
@@ -411,6 +419,17 @@ def test_three_form_decomposition_recovers_injected_parts():
         assert parts.lam == lam
         assert parts.mu == mu
         assert parts.s == s
+
+
+def test_sym_minus_part_inverts_each_basis_image():
+    for b in sym_minus_basis():
+        assert decompose_three_form(endo_act(b, PSI_P)).s == b
+
+
+def test_other_modules_have_zero_sym_minus_part():
+    others = [wedge(basis_vector(i), OMEGA) for i in range(DIM)] + [PSI_P, PSI_M]
+    for u in others:
+        assert decompose_three_form(u).s == Endo.zero(EXACT)
 
 
 def test_anti_endo_decomposition():
