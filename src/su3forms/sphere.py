@@ -6,6 +6,9 @@ associative 3-form phi(x, y, z) = <x cross y, z>, and psi_plus is the
 restriction of phi itself.  Differential operators (exterior derivative,
 Levi-Civita derivative, codifferential, Laplacian) are second-order central
 finite differences in a projection chart recentered at each evaluation point.
+Fields are evaluated in batches: each operator makes one field call on all
+the points of its stencil, and the ambient algebra broadcasts over leading
+axes.
 
 Forms on R^7 and frame values on the tangent space are numpy coefficient
 vectors over index combinations in lexicographic order, with product and
@@ -67,12 +70,12 @@ def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def cross_matrix(q: np.ndarray) -> np.ndarray:
-    """Matrix of X -> q x X."""
-    return np.einsum("ijk,i->kj", cross_tensor(), q)
+    """Matrices of X -> q x X, shape (..., 7) -> (..., 7, 7)."""
+    return np.einsum("ijk,...i->...kj", cross_tensor(), q)
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def random_points(seed: int, n: int) -> np.ndarray:
@@ -132,19 +135,27 @@ def _contract_table(n: int, k: int) -> np.ndarray:
     return table
 
 
+def _apply_table(pairs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_{i,j} pairs[..., i, j] t[i, j, c], as one matrix product with the
+    flattened table."""
+    return pairs.reshape(*pairs.shape[:-2], -1) @ table.reshape(-1, table.shape[-1])
+
+
 def wedge_ambient(a: np.ndarray, ka: int, b: np.ndarray, kb: int) -> np.ndarray:
-    return np.einsum("abc,a,b->c", _wedge_table(AMBIENT_DIM, ka, kb), a, b)
+    return _apply_table(a[..., :, None] * b[..., None, :], _wedge_table(AMBIENT_DIM, ka, kb))
 
 
 def contract_ambient(x: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
-    return np.einsum("iab,i,a->b", _contract_table(AMBIENT_DIM, k), x, a)
+    return _apply_table(x[..., :, None] * a[..., None, :], _contract_table(AMBIENT_DIM, k))
 
 
 def endo_act_ambient(m: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
     """Derivation action of the matrix m on a k-form, as the kernel's
     `endo_act`: A . u = -sum_i (A^T e_i)^flat ^ (e_i -| u)."""
-    contractions = np.einsum("iac,a->ic", _contract_table(AMBIENT_DIM, k), a)
-    return -np.einsum("ir,rcb,ic->b", m, _wedge_table(AMBIENT_DIM, 1, k - 1), contractions)
+    contractions = np.einsum("iac,...a->...ic", _contract_table(AMBIENT_DIM, k), a)
+    # row r is sum_i m[i, r] (e_i -| u), to be wedged with e_r from the left
+    inserted = np.swapaxes(m, -1, -2) @ contractions
+    return -_apply_table(inserted, _wedge_table(AMBIENT_DIM, 1, k - 1))
 
 
 @cache
@@ -268,10 +279,7 @@ def _psi_minus_table() -> np.ndarray:
 
     Row l is one third of the derivation action of e_l x . on phi.
     """
-    phi = associative_three_form()
-    table = np.stack(
-        [endo_act_ambient(cross_matrix(e), phi, 3) for e in np.eye(AMBIENT_DIM)]
-    ) / 3.0
+    table = endo_act_ambient(cross_matrix(np.eye(AMBIENT_DIM)), associative_three_form(), 3) / 3.0
     table.setflags(write=False)
     return table
 
@@ -336,7 +344,7 @@ class AdaptedFrame:
     restrict to their exact normal forms, not merely to U(3)-equivalent ones.
     `selection` records which ambient axes seeded the construction so a
     neighboring point can reuse them (keeping the frame field smooth across
-    a finite-difference stencil).
+    a finite-difference stencil).  `matrix` has shape (..., 7, 6).
     """
 
     matrix: np.ndarray
@@ -344,39 +352,34 @@ class AdaptedFrame:
 
 
 def adapted_frame(q: np.ndarray, selection: tuple[int, int] | None = None) -> AdaptedFrame:
-    order = sorted(range(AMBIENT_DIM), key=lambda i: (abs(q[i]), i))
+    """Adapted frames at points q of shape (..., 7) from a given selection, or
+    at a single point q with the selection picked there."""
+    eye = np.eye(AMBIENT_DIM)
     if selection is None:
+        order = sorted(range(AMBIENT_DIM), key=lambda i: (abs(q[i]), i))
         first = order[0]
     else:
-        first = selection[0]
-    f1 = normalize(np.eye(AMBIENT_DIM)[first] - q[first] * q)
+        first, third = selection
+    f1 = normalize(eye[first] - q[..., first, None] * q)
     f2 = cross(q, f1)
-    third = None
-    if selection is not None:
-        third = selection[1]
-        w = _orthogonalize(np.eye(AMBIENT_DIM)[third], (q, f1, f2))
-    else:
-        for cand in order:
-            if cand == first:
-                continue
-            w = _orthogonalize(np.eye(AMBIENT_DIM)[cand], (q, f1, f2))
-            if np.linalg.norm(w) > 0.35:
-                third = cand
-                break
-        if third is None:  # pragma: no cover - impossible by dimension count
-            raise RuntimeError("no usable third frame axis")
-    f3 = normalize(w)
+    if selection is None:
+        # the complement of span(q, f1, f2) is 4-dimensional, so some other
+        # axis keeps a projection of norm at least sqrt(1/2) on it
+        third = next(
+            c for c in order[1:]
+            if np.linalg.norm(_orthogonalize(eye[c], (q, f1, f2))) > 0.35
+        )
+    f3 = normalize(_orthogonalize(eye[third], (q, f1, f2)))
     f4 = cross(q, f3)
     f5 = cross(f1, f3)
     f6 = cross(q, f5)
-    return AdaptedFrame(np.column_stack([f1, f2, f3, f4, f5, f6]), (first, third))
+    return AdaptedFrame(np.stack([f1, f2, f3, f4, f5, f6], axis=-1), (first, third))
 
 
 def _orthogonalize(v: np.ndarray, against: Sequence[np.ndarray]) -> np.ndarray:
-    out = v.astype(float)
     for b in against:
-        out = out - (out @ b) * b
-    return out
+        v = v - np.sum(v * b, axis=-1, keepdims=True) * b
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +393,9 @@ class FormField:
     `ambient(q)` returns coefficients of a degree-`degree` form on R^7 whose
     restriction to T_q is the field's value; everything off the tangent
     space is irrelevant and discarded by the chart and frame pullbacks.
+    Fields are evaluated in batches: q has shape (..., 7) and the result
+    (..., C(7, degree)).  Endomorphism fields map q to ambient matrices
+    (..., 7, 7), and the functions given to `laplacian` map it to (...).
     """
 
     degree: int
@@ -402,7 +408,7 @@ def omega_field() -> FormField:
 
 def psi_plus_field() -> FormField:
     phi = associative_three_form()
-    return FormField(3, lambda q: phi)
+    return FormField(3, lambda q: np.broadcast_to(phi, (*q.shape[:-1], len(phi))))
 
 
 def psi_minus_field() -> FormField:
@@ -441,56 +447,39 @@ def ext_d(field: FormField, p: np.ndarray, h: float, richardson: bool = False) -
     Differentiates the chart components of the field in the projection chart
     at p and assembles sum_j du^j ^ d/du_j; the result is converted to the
     adapted frame at p.  Second order in h, or fourth with `richardson`.
-    The whole stencil is pulled back to the chart in one batched pass.
+    The field is evaluated and pulled back on the whole stencil at once.
     """
     _check_step(h)
     k = field.degree
     chart = Chart.at(p)
     frame = adapted_frame(p)
     offsets, weights = _stencil(h, richardson)
-    ambient = np.stack([field.ambient(q) for q in chart.from_chart(offsets)])
+    ambient = field.ambient(chart.from_chart(offsets))
     partials = weights @ pullback_form(ambient, k, chart.differential(offsets))
     # sum_j du^j ^ partial_j, through the wedge table of 1-forms with k-forms
     d_chart = np.einsum("jp,jpo->o", partials, _wedge_table(6, 1, k))
     return d_chart @ _frame_change(chart, frame, k + 1)
 
 
-def _transported_frame(p: np.ndarray, x: np.ndarray, t: float, f: np.ndarray):
-    """Frame extension that is parallel at t = 0 along normalize(p + t x)."""
+def _transported_frame(p: np.ndarray, x: np.ndarray, h: float, f: np.ndarray):
+    """Points normalize(p + t x) at t = h, -h for directions x (..., 7), and
+    the frame f of p projected to their tangent spaces, which is parallel at
+    t = 0: shapes (2, ..., 7) and (2, ..., 7, 6)."""
+    t = np.array([h, -h]).reshape(2, *(1,) * x.ndim)
     gamma = normalize(p + t * x)
-    v = f - np.outer(gamma, gamma @ f)
-    return gamma, v
+    return gamma, f - gamma[..., :, None] * (gamma @ f)[..., None, :]
 
 
 def covariant_d(field: FormField, x: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
     """Levi-Civita derivative of a form field along tangent x, at p.
 
-    Extends the frame vectors by tangential projection (a parallel extension
-    at the center point for the round metric) and differentiates the scalar
-    frame components along the great-circle curve normalize(p + t x).
+    Differentiates the frame components of the field, in the transported
+    frame, along the great-circle curve normalize(p + t x).
     """
     _check_step(h)
-    f = adapted_frame(p).matrix
-
-    def sample(t: float) -> np.ndarray:
-        gamma, v = _transported_frame(p, x, t, f)
-        return pullback_form(field.ambient(gamma), field.degree, v)
-
-    return (sample(h) - sample(-h)) / (2.0 * h)
-
-
-def covariant_d_endo(
-    s: Callable[[np.ndarray], np.ndarray], x: np.ndarray, p: np.ndarray, h: float
-) -> np.ndarray:
-    """Frame matrix of the Levi-Civita derivative of an endomorphism field."""
-    _check_step(h)
-    f = adapted_frame(p).matrix
-
-    def sample(t: float) -> np.ndarray:
-        gamma, v = _transported_frame(p, x, t, f)
-        return v.T @ s(gamma) @ v
-
-    return (sample(h) - sample(-h)) / (2.0 * h)
+    gamma, v = _transported_frame(p, x, h, adapted_frame(p).matrix)
+    plus, minus = pullback_form(field.ambient(gamma), field.degree, v)
+    return (plus - minus) / (2.0 * h)
 
 
 def divergence_endo(
@@ -498,13 +487,15 @@ def divergence_endo(
 ) -> np.ndarray:
     """Divergence -sum_i (nabla_{f_i} S)(f_i) of an endomorphism field.
 
-    Returned in frame components at p.
+    Returned in frame components at p.  S is called once, on the curve
+    points of all six frame directions.
     """
+    _check_step(h)
     f = adapted_frame(p).matrix
-    out = np.zeros(6)
-    for i in range(6):
-        out -= covariant_d_endo(s, f[:, i], p, h)[:, i]
-    return out
+    gamma, v = _transported_frame(p, f.T, h, f)
+    plus, minus = np.swapaxes(v, -1, -2) @ s(gamma) @ v
+    # column i of the derivative along f_i
+    return -np.einsum("iai->a", plus - minus) / (2.0 * h)
 
 
 def star_field(field: FormField, center: np.ndarray) -> FormField:
@@ -521,7 +512,7 @@ def star_field(field: FormField, center: np.ndarray) -> FormField:
         f = adapted_frame(q, selection).matrix
         restricted = pullback_form(field.ambient(q), k, f)
         starred = restricted @ kernel_matrix(hodge_star, k)
-        return pullback_form(starred, 6 - k, f.T)
+        return pullback_form(starred, 6 - k, np.swapaxes(f, -1, -2))
 
     return FormField(6 - k, ambient)
 
@@ -532,19 +523,14 @@ def codifferential(field: FormField, p: np.ndarray, h: float) -> np.ndarray:
     return -(du @ kernel_matrix(hodge_star, 7 - field.degree))
 
 
-def laplacian(fn: Callable[[np.ndarray], float], p: np.ndarray, h: float) -> float:
+def laplacian(fn: Callable[[np.ndarray], np.ndarray], p: np.ndarray, h: float) -> float:
     """Laplace operator on functions, positive on first spherical harmonics.
 
     Second differences along six orthogonal great circles through p; the
-    curves normalize(p + t b) are geodesics at t = 0.
+    curves normalize(p + t b) are geodesics at t = 0.  fn is called once on
+    the twelve curve points.
     """
     _check_step(h)
     basis = Chart.at(p).basis
-    total = 0.0
-    center = fn(p)
-    for i in range(6):
-        b = basis[:, i]
-        total -= (
-            fn(normalize(p + h * b)) - 2.0 * center + fn(normalize(p - h * b))
-        ) / (h * h)
-    return total
+    plus, minus = fn(normalize(p + np.array([h, -h])[:, None, None] * basis.T))
+    return -float(np.sum(plus - 2.0 * fn(p) + minus)) / (h * h)

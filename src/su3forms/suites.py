@@ -8,11 +8,12 @@ the working step (the 5-form volume identity), the residual is evaluated
 with the Richardson variant of `ext_d` while the order is still measured on
 the plain scheme; both numbers appear in the report.
 
-Test fields for the divergence identities are built pointwise from constant
-ambient forms: restriction to the tangent space, invariant projection, and
-(for the symmetric-endomorphism field) the 3-form decomposition, conjugated
-back to ambient coordinates.  Equivariance of the decomposition makes these
-fields frame-independent, hence smooth.
+Test fields for the divergence identities are built from constant ambient
+forms: restriction to the tangent space, invariant projection, and (for the
+endomorphism fields) a kernel operator in the adapted frame, conjugated back
+to ambient coordinates.  Equivariance of the operators makes these fields
+frame-independent, hence smooth.  Like every sphere field, they are
+evaluated on batches of points.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ def verify_spectral(samples: int = 50, h: float = 1e-3, seed: int = 0) -> Verifi
     """
     require_count("samples", samples)
     pts = sp.random_points(seed, samples)
-    harmonics = [("laplacian_linear_harmonics", lambda q, i=i: q[i], 6.0) for i in range(7)]
-    harmonics.append(("laplacian_quadratic_harmonic", lambda q: q[0] * q[1], 14.0))
+    harmonics = [("laplacian_linear_harmonics", lambda q, i=i: q[..., i], 6.0) for i in range(7)]
+    harmonics.append(("laplacian_quadratic_harmonic", lambda q: q[..., 0] * q[..., 1], 14.0))
     ledger = Ledger()
     for name, fn, ev in harmonics:
         scale = max(abs(ev * fn(p)) for p in pts)
@@ -176,7 +177,7 @@ class DeformationBundle:
     """
 
     a: np.ndarray
-    mu: Callable[[np.ndarray], float]
+    mu: Callable[[np.ndarray], np.ndarray]
     xi: Callable[[np.ndarray], np.ndarray]
     omega_dot: sp.FormField
     psi_plus_dot: sp.FormField
@@ -188,8 +189,8 @@ def sphere_deformation(a: np.ndarray) -> DeformationBundle:
     a = np.asarray(a, dtype=float)
     phi3 = sp.associative_three_form()
 
-    def mu(q: np.ndarray) -> float:
-        return float(a @ q)
+    def mu(q: np.ndarray) -> np.ndarray:
+        return q @ a
 
     def xi(q: np.ndarray) -> np.ndarray:
         return sp.cross(q, a)
@@ -200,12 +201,12 @@ def sphere_deformation(a: np.ndarray) -> DeformationBundle:
     def psi_plus_dot(q: np.ndarray) -> np.ndarray:
         return (
             -sp.wedge_ambient(xi(q), 1, sp.omega_ambient(q), 2)
-            + mu(q) * sp.psi_minus_ambient(q)
+            + mu(q)[..., None] * sp.psi_minus_ambient(q)
         )
 
     def psi_minus_dot(q: np.ndarray) -> np.ndarray:
         jxi = sp.cross(q, xi(q))
-        return -sp.wedge_ambient(jxi, 1, sp.omega_ambient(q), 2) - mu(q) * phi3
+        return -sp.wedge_ambient(jxi, 1, sp.omega_ambient(q), 2) - mu(q)[..., None] * phi3
 
     def xi_omega_sq(q: np.ndarray) -> np.ndarray:
         om = sp.omega_ambient(q)
@@ -227,13 +228,9 @@ def deformation_span_ratio(seed: int = 0, probes: int = 5) -> float:
     seven coordinate bundles, at fixed seeded probe points."""
     pts = sp.random_points(seed + 1000, probes)
     rows = []
-    for i in range(7):
-        bundle = sphere_deformation(np.eye(7)[i])
-        rows.append(
-            np.concatenate(
-                [[bundle.mu(q)] for q in pts] + [bundle.xi(q) for q in pts]
-            )
-        )
+    for a in np.eye(7):
+        bundle = sphere_deformation(a)
+        rows.append(np.concatenate([bundle.mu(pts), bundle.xi(pts).ravel()]))
     s = np.linalg.svd(np.array(rows), compute_uv=False)
     return float(s[-1] / s[0])
 
@@ -354,43 +351,47 @@ def invariant_two_form_field(
         beta = const_part if lin_part is None else const_part + q @ lin_part
         inv = 0.5 * (beta + sp.pullback_form(beta, 2, sp.cross_matrix(q)))
         if primitive:
-            f = sp.adapted_frame(q).matrix
-            # the omega trace <inv, omega> is the dual Lefschetz contraction
-            restricted = sp.pullback_form(inv, 2, f)
-            c = (restricted @ sp.kernel_matrix(lefschetz_contract, 2))[0] / 3.0
-            inv = inv - c * sp.omega_ambient(q)
+            # omega(q) is tangent, so the ambient inner product is the omega
+            # trace of the restriction; |omega|^2 = 3
+            om = sp.omega_ambient(q)
+            inv = inv - np.sum(inv * om, axis=-1, keepdims=True) / 3.0 * om
         return inv
 
     return sp.FormField(2, ambient)
 
 
-def _sym_plus_endo_field(
-    phi_field: sp.FormField, selection: tuple[int, int]
+def _endo_field(
+    form: Callable[[np.ndarray], np.ndarray], k: int, op: Callable,
+    selection: tuple[int, int],
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Ambient matrices of the symmetric endomorphism h with
-    phi = g(h J ., .), for a J-invariant 2-form field."""
+    """Ambient matrices of op applied to a k-form field in the adapted frame
+    from `selection`, conjugated back; equivariance of op makes them
+    independent of the frame."""
 
-    def h_amb(q: np.ndarray) -> np.ndarray:
+    def ambient(q: np.ndarray) -> np.ndarray:
         f = sp.adapted_frame(q, selection).matrix
-        restricted = sp.pullback_form(phi_field.ambient(q), 2, f)
-        hm = restricted @ sp.kernel_matrix(sym_plus_from_two_form, 2)
-        return f @ hm.reshape(6, 6) @ f.T
+        m = sp.pullback_form(form(q), k, f) @ sp.kernel_matrix(op, k)
+        return f @ m.reshape(*m.shape[:-1], 6, 6) @ np.swapaxes(f, -1, -2)
 
-    return h_amb
+    return ambient
 
 
-def sym_minus_endo_field(gamma: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Ambient matrices of the Sym^- field cut out of a constant ambient
-    3-form: restrict to the adapted frame, take the symmetric component of
-    the 3-form decomposition, conjugate back.  Equivariance of the
-    decomposition makes the result independent of the frame choice."""
-
-    def s_amb(q: np.ndarray) -> np.ndarray:
-        f = sp.adapted_frame(q).matrix
-        s = sp.pullback_form(gamma, 3, f) @ sp.kernel_matrix(_sym_minus_part, 3)
-        return f @ s.reshape(6, 6) @ f.T
-
-    return s_amb
+def _cl_fields(beta: np.ndarray, gamma: np.ndarray, selection: tuple[int, int]):
+    """Test fields of the divergence identities near a point with frame
+    selection `selection`: phi, the 2-form field cut out of beta; h with
+    phi = g(h J ., .); lambda = tr(h)/4; S, the Sym^- part of the constant
+    3-form gamma; and the form fields S . psi_plus and S . psi_minus."""
+    phif = invariant_two_form_field(beta)
+    h_amb = _endo_field(phif.ambient, 2, sym_plus_from_two_form, selection)
+    # the ambient matrix has zero normal block, so its trace is the frame trace
+    lam_field = sp.FormField(0, lambda q: np.trace(h_amb(q), axis1=-2, axis2=-1)[..., None] / 4)
+    s_amb = _endo_field(lambda q: gamma, 3, _sym_minus_part, selection)
+    phi3 = sp.associative_three_form()
+    s_pp = sp.FormField(3, lambda q: sp.endo_act_ambient(s_amb(q), phi3, 3))
+    s_pm = sp.FormField(
+        3, lambda q: sp.endo_act_ambient(s_amb(q), sp.psi_minus_ambient(q), 3)
+    )
+    return phif, h_amb, lam_field, s_amb, s_pp, s_pm
 
 
 def verify_cl_identities(
@@ -423,19 +424,8 @@ def verify_cl_identities(
 
     ledger = Ledger()
     for n, p in enumerate(pts):
-        sel = sp.adapted_frame(p).selection
-        phif = invariant_two_form_field(betas[n % n_fields])
-        h_amb = _sym_plus_endo_field(phif, sel)
-        # lambda = tr(h)/4; the ambient matrix has zero normal block, so its
-        # trace equals the frame trace
-        lam_field = sp.FormField(
-            0, lambda q, f=h_amb: np.array([np.trace(f(q)) / 4.0])
-        )
-        s_amb = sym_minus_endo_field(gammas[n % n_fields])
-        phi3 = sp.associative_three_form()
-        s_pp = sp.FormField(3, lambda q: sp.endo_act_ambient(s_amb(q), phi3, 3))
-        s_pm = sp.FormField(
-            3, lambda q: sp.endo_act_ambient(s_amb(q), sp.psi_minus_ambient(q), 3)
+        phif, h_amb, lam_field, s_amb, s_pp, s_pm = _cl_fields(
+            betas[n % n_fields], gammas[n % n_fields], sp.adapted_frame(p).selection
         )
         for idx, step in enumerate((h, h / 2)):
             div_h = sp.divergence_endo(h_amb, p, step)

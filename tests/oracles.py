@@ -110,3 +110,24 @@ def matmul_oracle(a, b) -> list[list]:
         [sum(a[i][k] * b[k][j] for k in range(inner_dim)) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
+
+
+def divergence_endo_oracle(s, p, h: float, frame):
+    """-sum_i (nabla_{f_i} S)(f_i), one direction and one point at a time.
+
+    For each frame vector f_i of p: the central difference of v^T S v along
+    the curve normalize(p +- h f_i), column i, where v is the frame of p
+    projected to the tangent space at each curve point.
+    """
+    import numpy as np
+
+    out = np.zeros(6)
+    for i in range(6):
+        samples = []
+        for t in (h, -h):
+            gamma = p + t * frame[:, i]
+            gamma = gamma / np.linalg.norm(gamma)
+            v = frame - np.outer(gamma, gamma @ frame)
+            samples.append(v.T @ s(gamma) @ v)
+        out -= (samples[0] - samples[1])[:, i] / (2.0 * h)
+    return out

@@ -7,8 +7,8 @@ the (2,0) projection and the S part of a 3-form, or the psi lines of the
 expectation of `type_projector_algebra` instead; `TYPE_EIGENVALUES` feeds
 nothing else but the (p,q) check of `type_project`.  The caches are cleared,
 the defect is patched in, and a named identity must then fail while it
-passes on the intact kernel: with a nonzero residual, or by the residual
-guard of a decomposition raising inside it.
+passes on the intact kernel: with a nonzero residual, or with the NaN the
+suite records when the residual guard of a decomposition raises inside it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from fractions import Fraction
 import pytest
 
 from su3forms import forms, identities, structure
-from su3forms.forms import DecompositionError
 from su3forms.identities import run_algebra_suite
 
 #: modules whose functools caches hold values derived from the kernel tables
@@ -82,18 +81,17 @@ def test_transposed_complex_structure_is_caught(fresh_caches, monkeypatch):
 
 def test_flipped_psi_plus_contraction_is_caught(fresh_caches, monkeypatch):
     name = "three_form_round_trip"
-    # run the named check alone, so that the guard can only raise inside it
-    monkeypatch.setattr(
-        identities, "CHECKS", tuple(c for c in identities.CHECKS if c[0] == name)
-    )
     clean = _exact_check(name)
     assert clean.passed and clean.max_residual == 0.0
     _clear_caches()
     table = [dict(t) for t in structure._PSI_PLUS_CONTRACTIONS]
     table[0][0b010100] = -table[0][0b010100]  # e35 in e1 -| psi_plus
     monkeypatch.setattr(structure, "_PSI_PLUS_CONTRACTIONS", tuple(table))
-    with pytest.raises(DecompositionError, match="3-form decomposition residual"):
-        _exact_check(name)
+    # the 3-form residual guard raises inside the check; the whole suite still
+    # reports, with the check failed on a NaN residual
+    broken = _exact_check(name)
+    assert broken.max_residual != broken.max_residual
+    assert not broken.passed
 
 
 def test_dropped_psi_minus_line_is_caught(fresh_caches, monkeypatch):

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import det_oracle
+from oracles import det_oracle, divergence_endo_oracle
 from su3forms import sphere as sp
 from su3forms import suites
 from su3forms.sphere import frame_coeffs_from_form as coeffs
@@ -155,7 +155,7 @@ def test_covariant_derivative_relations():
 def test_first_harmonic_hessian():
     # nabla_X dmu = -mu X for the restriction of a linear function
     a = np.array([0.3, -1.2, 0.7, 0.0, 0.5, -0.4, 1.1])
-    dmu = sp.FormField(1, lambda q: a - (a @ q) * q)
+    dmu = sp.FormField(1, lambda q: a - (q @ a)[..., None] * q)
     rng = np.random.default_rng(11)
     for q in POINTS[:8]:
         f = sp.adapted_frame(q).matrix
@@ -168,9 +168,9 @@ def test_first_harmonic_hessian():
 def test_laplacian_eigenfunctions():
     for q in POINTS[:10]:
         for i in range(7):
-            val = sp.laplacian(lambda p: p[i], q, 1e-3)
+            val = sp.laplacian(lambda p: p[..., i], q, 1e-3)
             assert abs(val - 6.0 * q[i]) < 1e-5
-        quad = sp.laplacian(lambda p: p[0] * p[1], q, 1e-3)
+        quad = sp.laplacian(lambda p: p[..., 0] * p[..., 1], q, 1e-3)
         assert abs(quad - 14.0 * q[0] * q[1]) < 1e-5
 
 
@@ -229,6 +229,90 @@ def test_star_field_matches_kernel_star():
     f = sp.adapted_frame(q).matrix
     restricted = sp.pullback_form(starred.ambient(q), 4, f)
     assert max_abs(restricted - coeffs(hodge_star(omega()), 4)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+
+
+def _near(center: np.ndarray, n: int, seed: int) -> np.ndarray:
+    g = center + 0.05 * np.random.default_rng(seed).standard_normal((n, 7))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _cl_fields(center: np.ndarray):
+    rng = np.random.default_rng(41)
+    beta, gamma = rng.standard_normal(21), rng.standard_normal(35)
+    return suites._cl_fields(beta, gamma, sp.adapted_frame(center).selection)
+
+
+def _suite_fields() -> dict:
+    """Every field the suites build, by name: q -> ambient value."""
+    center = POINTS[5]
+    rng = np.random.default_rng(37)
+    bundle = sphere_deformation(rng.standard_normal(7))
+    const, lin = rng.standard_normal(21), rng.standard_normal((7, 21))
+    phif, h_amb, lam, s_amb, s_pp, s_pm = _cl_fields(center)
+    return {
+        "omega": sp.omega_field().ambient,
+        "psi_plus": sp.psi_plus_field().ambient,
+        "psi_minus": sp.psi_minus_field().ambient,
+        "omega_dot": bundle.omega_dot.ambient,
+        "psi_plus_dot": bundle.psi_plus_dot.ambient,
+        "psi_minus_dot": bundle.psi_minus_dot.ambient,
+        "xi_omega_sq": bundle.xi_omega_sq.ambient,
+        "star_psi_minus": sp.star_field(sp.psi_minus_field(), center).ambient,
+        "primitive_two_form": suites.invariant_two_form_field(
+            const, lin, primitive=True
+        ).ambient,
+        "phi": phif.ambient,
+        "h": h_amb,
+        "lambda": lam.ambient,
+        "S": s_amb,
+        "S_psi_plus": s_pp.ambient,
+        "S_psi_minus": s_pm.ambient,
+    }
+
+
+@pytest.mark.parametrize("name", list(_suite_fields()))
+def test_fields_evaluate_on_batches(name):
+    field = _suite_fields()[name]
+    batch = _near(POINTS[5], 4, 43)
+    singles = np.stack([field(q) for q in batch])
+    batched = field(batch)
+    assert batched.shape == singles.shape and batched.shape[0] == 4
+    assert np.abs(batched - singles).max() <= 1e-14
+
+
+def test_batched_adapted_frames_equal_single_frames():
+    selection = sp.adapted_frame(POINTS[6]).selection
+    batch = _near(POINTS[6], 4, 47)
+    frames = sp.adapted_frame(batch, selection)
+    assert frames.selection == selection and frames.matrix.shape == (4, 7, 6)
+    singles = np.stack([sp.adapted_frame(q, selection).matrix for q in batch])
+    assert np.abs(frames.matrix - singles).max() <= 1e-14
+
+
+def test_ambient_omega_trace_is_the_lefschetz_trace():
+    # omega(q) is tangent, so <beta, omega(q)> sees only the restriction of beta
+    rng = np.random.default_rng(53)
+    for q in POINTS[:8]:
+        beta = rng.standard_normal(21)
+        restricted = sp.pullback_form(beta, 2, sp.adapted_frame(q).matrix)
+        lefschetz = (restricted @ sp.kernel_matrix(lefschetz_contract, 2))[0]
+        assert abs(beta @ sp.omega_ambient(q) - lefschetz) < 1e-12
+
+
+def test_divergence_endo_matches_per_direction_oracle():
+    # relative bound: the 1/(2h) of the difference amplifies the roundoff of
+    # the field values, and divergences reach 7 here
+    for q in POINTS[:4]:
+        _, h_amb, _, s_amb, _, _ = _cl_fields(q)
+        frame = sp.adapted_frame(q).matrix
+        for s in (h_amb, s_amb):
+            expected = divergence_endo_oracle(s, q, 1e-3, frame)
+            error = np.abs(sp.divergence_endo(s, q, 1e-3) - expected).max()
+            assert error <= 1e-12 * np.abs(expected).max()
 
 
 # ---------------------------------------------------------------------------

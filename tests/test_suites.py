@@ -73,6 +73,9 @@ def test_suites_are_deterministic():
     assert a.to_json() == b.to_json()
     c = verify_gray(samples=6, seed=4)
     assert c.to_json() != a.to_json()
+    for suite in (verify_linearized_basis, verify_cl_identities):
+        first = suite(samples=2, seed=3)
+        assert suite(samples=2, seed=3).to_json() == first.to_json()
 
 
 def test_flipped_psi_minus_is_caught():
