@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run the full verification battery and write one JSON report per suite.
 
-The exact algebra run dominates the runtime (about 20-33 s at 1000 trials
-on a 2-vCPU host, of about 44 s for the whole battery); --skip-exact drops
-it when iterating on the sphere suites.
+The exact algebra run dominates the runtime (about 24-29 s at 1000 trials
+on a 2-vCPU host, of about 39-42 s for the whole battery); --skip-exact
+drops it when iterating on the sphere suites.
 """
 
 from __future__ import annotations

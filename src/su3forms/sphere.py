@@ -5,7 +5,10 @@ J_q X = q x X on the tangent space at q, omega_q = q -| phi for the
 associative 3-form phi(x, y, z) = <x cross y, z>, and psi_plus is the
 restriction of phi itself.  Differential operators (exterior derivative,
 Levi-Civita derivative, codifferential, Laplacian) are second-order central
-finite differences in a projection chart recentered at each evaluation point.
+finite differences in a projection chart spanned by the adapted frame at the
+evaluation point, turned by one fixed rotation whose compounds take the
+derivative back to frame components.  Operators take a point or its
+`AdaptedFrame`, which a caller builds once per point.
 Fields are evaluated in batches: each operator makes one field call on all
 the points of its stencil, and the ambient algebra broadcasts over leading
 axes.
@@ -303,21 +306,14 @@ def psi_minus_ambient(q: np.ndarray) -> np.ndarray:
 class Chart:
     """Projection chart centered at a point p on the sphere.
 
-    from_chart(u) = normalize(p + B u) with B an orthonormal tangent basis;
-    to_chart is its exact inverse on the open hemisphere around p.
-    from_chart and differential take chart points u of shape (..., 6).
+    from_chart(u) = normalize(p + B u) with B an orthonormal tangent basis,
+    in `ext_d` the adapted frame at p turned by `_TURN`; to_chart is its
+    exact inverse on the open hemisphere around p.  from_chart and
+    differential take chart points u of shape (..., 6).
     """
 
     p: np.ndarray
     basis: np.ndarray
-
-    @classmethod
-    def at(cls, p: np.ndarray) -> "Chart":
-        v = p.copy()
-        sign = 1.0 if v[0] >= 0 else -1.0
-        v[0] += sign
-        h = np.eye(AMBIENT_DIM) - 2.0 * np.outer(v, v) / (v @ v)
-        return cls(p, h[:, 1:])
 
     def from_chart(self, u: np.ndarray) -> np.ndarray:
         w = self.p + u @ self.basis.T
@@ -344,11 +340,12 @@ class AdaptedFrame:
     restrict to their exact normal forms, not merely to U(3)-equivalent ones.
     `selection` records which ambient axes seeded the construction so a
     neighboring point can reuse them (keeping the frame field smooth across
-    a finite-difference stencil).  `matrix` has shape (..., 7, 6).
+    a finite-difference stencil).  `matrix` (..., 7, 6) is built at `point` q.
     """
 
     matrix: np.ndarray
     selection: tuple[int, int]
+    point: np.ndarray
 
 
 def adapted_frame(q: np.ndarray, selection: tuple[int, int] | None = None) -> AdaptedFrame:
@@ -373,7 +370,16 @@ def adapted_frame(q: np.ndarray, selection: tuple[int, int] | None = None) -> Ad
     f4 = cross(q, f3)
     f5 = cross(f1, f3)
     f6 = cross(q, f5)
-    return AdaptedFrame(np.stack([f1, f2, f3, f4, f5, f6], axis=-1), (first, third))
+    return AdaptedFrame(np.stack([f1, f2, f3, f4, f5, f6], axis=-1), (first, third), q)
+
+
+#: where an operator evaluates: a point, or the adapted frame built there
+Where = np.ndarray | AdaptedFrame
+
+
+def _frame_at(p: Where) -> AdaptedFrame:
+    """The frame an operator was given, or the adapted frame at a bare point."""
+    return p if isinstance(p, AdaptedFrame) else adapted_frame(p)
 
 
 def _orthogonalize(v: np.ndarray, against: Sequence[np.ndarray]) -> np.ndarray:
@@ -420,11 +426,6 @@ def _check_step(h: float) -> None:
         raise ValueError(f"step {h} under the cancellation guard {MIN_STEP}")
 
 
-def _frame_change(chart: Chart, frame: AdaptedFrame, k: int) -> np.ndarray:
-    """Matrix sending chart components of a k-form to frame components."""
-    return compound(chart.basis.T @ frame.matrix, k)
-
-
 #: finite-difference taps (multiple of h, weight) and the weights' divisor in
 #: units of h: central differences, and their Richardson extrapolation
 _CENTRAL = (((1.0, 1.0), (-1.0, -1.0)), 2.0)
@@ -440,72 +441,78 @@ def _stencil(h: float, richardson: bool) -> tuple[np.ndarray, np.ndarray]:
     return offsets, weights
 
 
-def ext_d(field: FormField, p: np.ndarray, h: float, richardson: bool = False) -> np.ndarray:
+#: fixed generic rotation taking the adapted frame to each chart basis, and
+#: its compounds, which send chart components of k-forms to frame components.
+#: In the frame itself most partials of the structure forms vanish
+#: identically, and the Gray identities would miss most of the wedge table.
+_TURN = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))[0]
+_TURN_BACK = tuple(compound(_TURN.T, k) for k in range(7))
+
+
+def ext_d(field: FormField, p: Where, h: float, richardson: bool = False) -> np.ndarray:
     """Exterior derivative at p by central differences, in frame components
     (lex order).
 
-    Differentiates the chart components of the field in the projection chart
-    at p and assembles sum_j du^j ^ d/du_j; the result is converted to the
-    adapted frame at p.  Second order in h, or fourth with `richardson`.
-    The field is evaluated and pulled back on the whole stencil at once.
+    Differentiates the components of the field in the projection chart
+    spanned by the adapted frame at p, turned by `_TURN`, assembles
+    sum_j du^j ^ d/du_j and turns the result back.  Second order in h, or
+    fourth with `richardson`.  The field is evaluated and pulled back on the
+    whole stencil at once.
     """
     _check_step(h)
     k = field.degree
-    chart = Chart.at(p)
-    frame = adapted_frame(p)
+    frame = _frame_at(p)
+    chart = Chart(frame.point, frame.matrix @ _TURN)
     offsets, weights = _stencil(h, richardson)
     ambient = field.ambient(chart.from_chart(offsets))
     partials = weights @ pullback_form(ambient, k, chart.differential(offsets))
     # sum_j du^j ^ partial_j, through the wedge table of 1-forms with k-forms
-    d_chart = np.einsum("jp,jpo->o", partials, _wedge_table(6, 1, k))
-    return d_chart @ _frame_change(chart, frame, k + 1)
+    return np.einsum("jp,jpo->o", partials, _wedge_table(6, 1, k)) @ _TURN_BACK[k + 1]
 
 
-def _transported_frame(p: np.ndarray, x: np.ndarray, h: float, f: np.ndarray):
+def _transported_frame(frame: AdaptedFrame, x: np.ndarray, h: float):
     """Points normalize(p + t x) at t = h, -h for directions x (..., 7), and
     the frame f of p projected to their tangent spaces, which is parallel at
     t = 0: shapes (2, ..., 7) and (2, ..., 7, 6)."""
     t = np.array([h, -h]).reshape(2, *(1,) * x.ndim)
-    gamma = normalize(p + t * x)
-    return gamma, f - gamma[..., :, None] * (gamma @ f)[..., None, :]
+    gamma = normalize(frame.point + t * x)
+    return gamma, frame.matrix - gamma[..., :, None] * (gamma @ frame.matrix)[..., None, :]
 
 
-def covariant_d(field: FormField, x: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
+def covariant_d(field: FormField, x: np.ndarray, p: Where, h: float) -> np.ndarray:
     """Levi-Civita derivative of a form field along tangent x, at p.
 
     Differentiates the frame components of the field, in the transported
     frame, along the great-circle curve normalize(p + t x).
     """
     _check_step(h)
-    gamma, v = _transported_frame(p, x, h, adapted_frame(p).matrix)
+    gamma, v = _transported_frame(_frame_at(p), x, h)
     plus, minus = pullback_form(field.ambient(gamma), field.degree, v)
     return (plus - minus) / (2.0 * h)
 
 
-def divergence_endo(
-    s: Callable[[np.ndarray], np.ndarray], p: np.ndarray, h: float
-) -> np.ndarray:
+def divergence_endo(s: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -> np.ndarray:
     """Divergence -sum_i (nabla_{f_i} S)(f_i) of an endomorphism field.
 
     Returned in frame components at p.  S is called once, on the curve
     points of all six frame directions.
     """
     _check_step(h)
-    f = adapted_frame(p).matrix
-    gamma, v = _transported_frame(p, f.T, h, f)
+    frame = _frame_at(p)
+    gamma, v = _transported_frame(frame, frame.matrix.T, h)
     plus, minus = np.swapaxes(v, -1, -2) @ s(gamma) @ v
     # column i of the derivative along f_i
     return -np.einsum("iai->a", plus - minus) / (2.0 * h)
 
 
-def star_field(field: FormField, center: np.ndarray) -> FormField:
+def star_field(field: FormField, center: Where) -> FormField:
     """Pointwise Hodge star of a field, as a new field.
 
     Restricts to the adapted frame near `center` (with the frame selection
     frozen there, so the construction is smooth across a stencil), applies
     the kernel's exact star, and extends back to an ambient form.
     """
-    selection = adapted_frame(center).selection
+    selection = _frame_at(center).selection
     k = field.degree
 
     def ambient(q: np.ndarray) -> np.ndarray:
@@ -517,20 +524,21 @@ def star_field(field: FormField, center: np.ndarray) -> FormField:
     return FormField(6 - k, ambient)
 
 
-def codifferential(field: FormField, p: np.ndarray, h: float) -> np.ndarray:
+def codifferential(field: FormField, p: Where, h: float) -> np.ndarray:
     """Codifferential -*d* of a form field at p, in frame components."""
-    du = ext_d(star_field(field, p), p, h)
+    frame = _frame_at(p)
+    du = ext_d(star_field(field, frame), frame, h)
     return -(du @ kernel_matrix(hodge_star, 7 - field.degree))
 
 
-def laplacian(fn: Callable[[np.ndarray], np.ndarray], p: np.ndarray, h: float) -> float:
+def laplacian(fn: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -> float:
     """Laplace operator on functions, positive on first spherical harmonics.
 
-    Second differences along six orthogonal great circles through p; the
-    curves normalize(p + t b) are geodesics at t = 0.  fn is called once on
-    the twelve curve points.
+    Second differences along the great circles through p in the six frame
+    directions; the curves normalize(p + t f_i) are geodesics at t = 0.  fn
+    is called once on the twelve curve points.
     """
     _check_step(h)
-    basis = Chart.at(p).basis
-    plus, minus = fn(normalize(p + np.array([h, -h])[:, None, None] * basis.T))
-    return -float(np.sum(plus - 2.0 * fn(p) + minus)) / (h * h)
+    frame = _frame_at(p)
+    plus, minus = fn(normalize(frame.point + np.array([h, -h])[:, None, None] * frame.matrix.T))
+    return -float(np.sum(plus - 2.0 * fn(frame.point) + minus)) / (h * h)

@@ -249,6 +249,10 @@ _PSI_LINES = (_PSI_PLUS_TERMS, _PSI_MINUS_TERMS)
 _PSI_PLUS_CONTRACTIONS = tuple(
     _contract_basis_terms(i, _PSI_PLUS_TERMS) for i in range(DIM)
 )
+#: their Hodge stars, spanning the (3,1) forms; the star is an isometry
+_PSI_PLUS_CONTRACTION_STARS = tuple(
+    {m: int(v) for m, v in hodge_star(Form(EXACT, t)).terms()} for t in _PSI_PLUS_CONTRACTIONS
+)
 
 # J e_{2i-1} = e_{2i}, J e_{2i} = -e_{2i-1}
 _J_ROWS = (
@@ -362,9 +366,9 @@ def type_project(u: Form, p: int, q: int) -> Form:
 
     On 2-forms the (2,0) part is (1/2) alpha(u) -| psi_plus, on 3-forms the
     (3,0) part is (<u, psi_plus> psi_plus + <u, psi_minus> psi_minus) / 4,
-    and the (1,1) and (2,1) parts are the remainders.  On 4-forms the Hodge
-    star carries type (p,q) to the 2-form type (3-q, 3-p).  Degrees 0, 1, 5
-    and 6 have a single type, projected by the identity.
+    and the (1,1) and (2,1) parts are the remainders.  On 4-forms the (3,1)
+    part projects onto the *(e_i -| psi_plus) and (2,2) is the rest.
+    Degrees 0, 1, 5 and 6 have a single type, projected by the identity.
     """
     if p < q:
         p, q = q, p
@@ -378,7 +382,7 @@ def type_project(u: Form, p: int, q: int) -> Form:
     if k == 3:
         return _line_projection(u, _PSI_LINES, 4, p == 3)
     if k == 4:
-        return hodge_star(type_project(hodge_star(u), 3 - q, 3 - p))
+        return _line_projection(u, _PSI_PLUS_CONTRACTION_STARS, 2, p == 3)
     return u
 
 

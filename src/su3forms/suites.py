@@ -111,8 +111,8 @@ def verify_gray(
     ppfield = sp.psi_plus_field()
 
     ledger = Ledger()
-    for p in pts:
-        f = sp.adapted_frame(p).matrix
+    for frame in map(sp.adapted_frame, pts):
+        f = frame.matrix
         x = f @ rng.standard_normal(6)
         x /= np.linalg.norm(x)
         xf = f.T @ x
@@ -120,13 +120,13 @@ def verify_gray(
         x_om = xf @ sp.kernel_matrix(_wedge_omega, 1)
         for idx, step in enumerate((h, h / 2)):
             ledger.add("d_omega_vs_psi_plus",
-                       _max_norm(sp.ext_d(ofield, p, step) - 3.0 * _PP), idx)
+                       _max_norm(sp.ext_d(ofield, frame, step) - 3.0 * _PP), idx)
             ledger.add("d_psi_minus_vs_omega_sq",
-                       _max_norm(sp.ext_d(pmfield, p, step) + 2.0 * _OM2), idx)
+                       _max_norm(sp.ext_d(pmfield, frame, step) + 2.0 * _OM2), idx)
             ledger.add("nabla_omega_vs_contraction",
-                       _max_norm(sp.covariant_d(ofield, x, p, step) - x_pp), idx)
+                       _max_norm(sp.covariant_d(ofield, x, frame, step) - x_pp), idx)
             ledger.add("nabla_psi_plus_vs_wedge",
-                       _max_norm(sp.covariant_d(ppfield, x, p, step) + x_om), idx)
+                       _max_norm(sp.covariant_d(ppfield, x, frame, step) + x_om), idx)
 
     checks = tuple(
         ledger.result(name, GRAY_TOL, order=(0, 1))
@@ -146,15 +146,15 @@ def verify_spectral(samples: int = 50, h: float = 1e-3, seed: int = 0) -> Verifi
     to the eigenvalue scale max |lambda f| over the sample.
     """
     require_count("samples", samples)
-    pts = sp.random_points(seed, samples)
+    frames = [sp.adapted_frame(p) for p in sp.random_points(seed, samples)]
     harmonics = [("laplacian_linear_harmonics", lambda q, i=i: q[..., i], 6.0) for i in range(7)]
     harmonics.append(("laplacian_quadratic_harmonic", lambda q: q[..., 0] * q[..., 1], 14.0))
     ledger = Ledger()
     for name, fn, ev in harmonics:
-        scale = max(abs(ev * fn(p)) for p in pts)
+        scale = max(abs(ev * fn(f.point)) for f in frames)
         for idx, step in enumerate((h, h / 2)):
-            for p in pts:
-                ledger.add(name, abs(sp.laplacian(fn, p, step) - ev * fn(p)) / scale, idx)
+            for f in frames:
+                ledger.add(name, abs(sp.laplacian(fn, f, step) - ev * fn(f.point)) / scale, idx)
 
     checks = (
         ledger.result("laplacian_linear_harmonics", SPECTRAL_TOL, order=(0, 1)),
@@ -225,7 +225,10 @@ def sphere_deformation(a: np.ndarray) -> DeformationBundle:
 
 def deformation_span_ratio(seed: int = 0, probes: int = 5) -> float:
     """Smallest/largest singular value of the (mu, xi) probe matrix over the
-    seven coordinate bundles, at fixed seeded probe points."""
+    seven coordinate bundles, at fixed seeded probe points.
+
+    On the unit sphere |q x a|^2 + <q, a>^2 = |a|^2, so the Gram matrix of
+    the seven rows is probes * I and the ratio is 1 up to roundoff."""
     pts = sp.random_points(seed + 1000, probes)
     rows = []
     for a in np.eye(7):
@@ -263,38 +266,24 @@ def verify_linearized(
 
     pts = sp.random_points(seed, samples)
     ledger = Ledger()
-    for p in pts:
-        f = sp.adapted_frame(p).matrix
+    for frame in map(sp.adapted_frame, pts):
+        p, f = frame.point, frame.matrix
         ppd_p = sp.pullback_form(pp_dot.ambient(p), 3, f)
         od_p = sp.pullback_form(bundle.omega_dot.ambient(p), 2, f)
         od_om = od_p @ sp.kernel_matrix(_wedge_omega, 2)
-        mu_p = bundle.mu(p)
+        # (check, field, its claimed exterior derivative)
+        identities = (
+            ("d_omega_dot_vs_psi_plus_dot", bundle.omega_dot, 3.0 * ppd_p),
+            ("d_psi_minus_dot_vs_omega_dot_wedge", bundle.psi_minus_dot, -4.0 * od_om),
+            ("five_form_vs_volume", bundle.xi_omega_sq, -12.0 * bundle.mu(p) * _VOL),
+        )
         # slot 0: Richardson at h; slots 1 and 2: plain scheme at h and h/2
         for idx, (step, rich) in enumerate(((h, True), (h, False), (h / 2, False))):
-            ledger.add(
-                "d_omega_dot_vs_psi_plus_dot",
-                _max_norm(sp.ext_d(bundle.omega_dot, p, step, richardson=rich)
-                          - 3.0 * ppd_p),
-                idx,
-            )
-            ledger.add(
-                "d_psi_minus_dot_vs_omega_dot_wedge",
-                _max_norm(sp.ext_d(bundle.psi_minus_dot, p, step, richardson=rich)
-                          + 4.0 * od_om),
-                idx,
-            )
-            ledger.add(
-                "five_form_vs_volume",
-                _max_norm(sp.ext_d(bundle.xi_omega_sq, p, step, richardson=rich)
-                          + 12.0 * mu_p * _VOL),
-                idx,
-            )
+            for name, field, claimed in identities:
+                d = sp.ext_d(field, frame, step, richardson=rich)
+                ledger.add(name, _max_norm(d - claimed), idx)
 
-    checks = [
-        ledger.result(name, LINEARIZED_TOL, order=(1, 2))
-        for name in ("d_omega_dot_vs_psi_plus_dot", "d_psi_minus_dot_vs_omega_dot_wedge",
-                     "five_form_vs_volume")
-    ]
+    checks = [ledger.result(name, LINEARIZED_TOL, order=(1, 2)) for name, _, _ in identities]
     if rank_check:
         ratio = deformation_span_ratio(seed)
         checks.append(
@@ -423,24 +412,24 @@ def verify_cl_identities(
     gammas = [rng.standard_normal(35) for _ in range(n_fields)]
 
     ledger = Ledger()
-    for n, p in enumerate(pts):
+    for n, frame in enumerate(map(sp.adapted_frame, pts)):
         phif, h_amb, lam_field, s_amb, s_pp, s_pm = _cl_fields(
-            betas[n % n_fields], gammas[n % n_fields], sp.adapted_frame(p).selection
+            betas[n % n_fields], gammas[n % n_fields], frame.selection
         )
         for idx, step in enumerate((h, h / 2)):
-            div_h = sp.divergence_endo(h_amb, p, step)
-            dlam = sp.ext_d(lam_field, p, step)
-            lhs1 = sp.ext_d(phif, p, step) @ sp.kernel_matrix(lefschetz_contract, 3)
+            div_h = sp.divergence_endo(h_amb, frame, step)
+            dlam = sp.ext_d(lam_field, frame, step)
+            lhs1 = sp.ext_d(phif, frame, step) @ sp.kernel_matrix(lefschetz_contract, 3)
             ledger.add("lefschetz_d_phi_vs_divergence",
                        _max_norm(lhs1 - (div_h + 2.0 * dlam)), idx)
 
-            dphi = sp.codifferential(phif, p, step)
+            dphi = sp.codifferential(phif, frame, step)
             ledger.add("divergence_h_vs_j_delta_phi",
                        _max_norm(div_h + dphi @ sp.kernel_matrix(_j, 1)), idx)
 
-            div_s = sp.divergence_endo(s_amb, p, step)
-            delta_spp = sp.codifferential(s_pp, p, step)
-            lam_d_spm = sp.ext_d(s_pm, p, step) @ sp.kernel_matrix(lefschetz_contract, 4)
+            div_s = sp.divergence_endo(s_amb, frame, step)
+            delta_spp = sp.codifferential(s_pp, frame, step)
+            lam_d_spm = sp.ext_d(s_pm, frame, step) @ sp.kernel_matrix(lefschetz_contract, 4)
             rhs3 = -lam_d_spm - 2.0 * (div_s @ sp.kernel_matrix(_into_psi_plus, 1))
             ledger.add("delta_s_psi_plus_identity", _max_norm(delta_spp - rhs3), idx)
             alpha = lam_d_spm @ sp.kernel_matrix(alpha_map, 2)
@@ -450,19 +439,12 @@ def verify_cl_identities(
                        _max_norm(delta_spp @ sp.kernel_matrix(lefschetz_contract, 2)), idx)
 
     n_gate = max(2, samples // 10)
-    for p in sp.random_points(seed + 1, n_gate):
-        units = []
-        for i in range(21):
-            c = np.zeros(21)
-            c[i] = 1.0
-            units.append((c, None))
-        for m in range(7):
-            for i in range(21):
-                lin = np.zeros((7, 21))
-                lin[m, i] = 1.0
-                units.append((np.zeros(21), lin))
+    # the family's unit coefficients: constant parts, then each (m, i) entry of lin
+    units = [(c, None) for c in np.eye(21)]
+    units += [(np.zeros(21), lin.reshape(7, 21)) for lin in np.eye(7 * 21)]
+    for frame in map(sp.adapted_frame, sp.random_points(seed + 1, n_gate)):
         columns = [
-            sp.codifferential(invariant_two_form_field(c, lin, primitive=True), p, h)
+            sp.codifferential(invariant_two_form_field(c, lin, primitive=True), frame, h)
             for c, lin in units
         ]
         kernel = np.linalg.svd(np.column_stack(columns))[2][6:].T
@@ -470,8 +452,8 @@ def verify_cl_identities(
             k = kernel @ rng.standard_normal(kernel.shape[1])
             k /= np.linalg.norm(k)
             field = invariant_two_form_field(k[:21], k[21:].reshape(7, 21), primitive=True)
-            ledger.add("coclosed_gate", np.linalg.norm(sp.codifferential(field, p, h)))
-            dphi0 = sp.ext_d(field, p, h)
+            ledger.add("coclosed_gate", np.linalg.norm(sp.codifferential(field, frame, h)))
+            dphi0 = sp.ext_d(field, frame, h)
             ledger.add("coclosed_d_phi_wedge_psi_plus",
                        _max_norm(dphi0 @ sp.kernel_matrix(_wedge_psi_plus, 3)))
             ledger.add("coclosed_d_phi_wedge_psi_minus",

@@ -89,9 +89,13 @@ def test_frame_selection_is_reusable():
     assert np.abs(frame.matrix - again.matrix).max() == 0.0
 
 
+def _frame_chart(q: np.ndarray) -> sp.Chart:
+    return sp.Chart(q, sp.adapted_frame(q).matrix)
+
+
 def test_chart_round_trip():
     for q in POINTS[:10]:
-        chart = sp.Chart.at(q)
+        chart = _frame_chart(q)
         rng = np.random.default_rng(3)
         u = 0.3 * rng.standard_normal(6)
         p = chart.from_chart(u)
@@ -101,13 +105,13 @@ def test_chart_round_trip():
 
 def test_chart_differential_at_origin_is_orthonormal():
     q = POINTS[1]
-    chart = sp.Chart.at(q)
+    chart = _frame_chart(q)
     d0 = chart.differential(np.zeros(6))
     assert np.abs(d0.T @ d0 - np.eye(6)).max() < 1e-12
 
 
 def test_batched_chart_differential_is_the_jacobian():
-    chart = sp.Chart.at(POINTS[4])
+    chart = _frame_chart(POINTS[4])
     us = 0.3 * np.random.default_rng(23).standard_normal((5, 6))
     points, diffs = chart.from_chart(us), chart.differential(us)
     eps = 1e-6
@@ -313,6 +317,45 @@ def test_divergence_endo_matches_per_direction_oracle():
             expected = divergence_endo_oracle(s, q, 1e-3, frame)
             error = np.abs(sp.divergence_endo(s, q, 1e-3) - expected).max()
             assert error <= 1e-12 * np.abs(expected).max()
+
+
+# ---------------------------------------------------------------------------
+# operators at a point or at its adapted frame
+
+
+def _operators() -> dict:
+    """Each operator the suites apply, as a function of where it evaluates."""
+    center = POINTS[8]
+    x = sp.adapted_frame(center).matrix @ np.random.default_rng(59).standard_normal(6)
+    _, h_amb, _, _, _, _ = _cl_fields(center)
+    return {
+        "ext_d": lambda w: sp.ext_d(sp.psi_minus_field(), w, 1e-3),
+        "ext_d_richardson": lambda w: sp.ext_d(sp.omega_field(), w, 1e-3, richardson=True),
+        "covariant_d": lambda w: sp.covariant_d(sp.omega_field(), x, w, 1e-3),
+        "divergence_endo": lambda w: sp.divergence_endo(h_amb, w, 1e-3),
+        "codifferential": lambda w: sp.codifferential(sp.psi_plus_field(), w, 1e-3),
+        "laplacian": lambda w: np.array(sp.laplacian(lambda q: q[..., 0] * q[..., 1], w, 1e-3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_operators()))
+def test_operator_on_a_point_equals_it_on_the_frame(name):
+    op = _operators()[name]
+    q = POINTS[8]
+    frame = sp.adapted_frame(q)
+    assert frame.point is q
+    assert np.array_equal(op(q), op(frame))
+
+
+def test_chart_off_the_frame_is_caught(monkeypatch):
+    # a chart basis with two columns swapped is no longer the turned frame,
+    # so ext_d reports its result in the wrong basis
+    assert verify_gray(samples=2).all_passed
+    chart = sp.Chart
+    monkeypatch.setattr(sp, "Chart", lambda p, basis: chart(p, basis[:, [1, 0, 2, 3, 4, 5]]))
+    report = verify_gray(samples=2)
+    assert not report.all_passed
+    assert max(c.max_residual for c in report.checks) > 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,22 @@ def test_float_projections_match_the_exact_ones(k):
         assert type_project(u.to_float(), p, q).isclose(exact)
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_four_form_projection_matches_the_double_star(mode):
+    # the (3,1) part lies on the stars of the e_i -| psi_plus, where J acts
+    # twice as -4; the (2,2) rest is J-invariant
+    j = complex_structure(mode)
+    for seed in range(5):
+        u = random_form(random.Random(40 + seed), 4, mode)
+        p31, p22 = type_project(u, 3, 1), type_project(u, 2, 2)
+        assert type_project(p31, 3, 1) == p31 and type_project(p22, 2, 2) == p22
+        assert p31 + p22 == u
+        assert endo_act(j, endo_act(j, p31)) == p31.scale(-4)
+        assert endo_act(j, endo_act(j, p22)).is_zero()
+        assert p31 == hodge_star(type_project(hodge_star(u), 2, 0))
+        assert p22 == hodge_star(type_project(hodge_star(u), 1, 1))
+
+
 def test_type_project_rejects_absent_component():
     with pytest.raises(ValueError):
         type_project(OMEGA, 2, 1)
