@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run the full verification battery and write one JSON report per suite.
 
-The exact algebra run dominates the runtime (about 24-29 s at 1000 trials
-on a 2-vCPU host, of about 39-42 s for the whole battery); --skip-exact
-drops it when iterating on the sphere suites.
+The exact algebra run dominates the runtime: at 1000 trials it uses
+between a fifth and a half of its 60 s acceptance budget on a 2-vCPU host,
+and about two thirds of the whole battery; --skip-exact drops it when
+iterating on the sphere suites.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ matrix (`kernel_matrix`), computed once in exact mode by the kernel itself.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
@@ -81,11 +82,16 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+def standard_normals(rng: random.Random, n: int) -> np.ndarray:
+    """n standard normals from a stdlib generator, as float-mode sampling
+    draws them; numpy.random is never loaded."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+
+
 def random_points(seed: int, n: int) -> np.ndarray:
     """(n, 7) array of seeded uniform points on the unit sphere."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, AMBIENT_DIM))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    g = standard_normals(random.Random(seed), n * AMBIENT_DIM)
+    return normalize(g.reshape(n, AMBIENT_DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -426,46 +432,32 @@ def _check_step(h: float) -> None:
         raise ValueError(f"step {h} under the cancellation guard {MIN_STEP}")
 
 
-#: finite-difference taps (multiple of h, weight) and the weights' divisor in
-#: units of h: central differences, and their Richardson extrapolation
-_CENTRAL = (((1.0, 1.0), (-1.0, -1.0)), 2.0)
-_RICHARDSON = (((1.0, 8.0), (-1.0, -8.0), (2.0, -1.0), (-2.0, 1.0)), 12.0)
-
-
-def _stencil(h: float, richardson: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Chart offsets (S, 6) and the (6, S) weights of the partial derivatives."""
-    taps, divisor = _RICHARDSON if richardson else _CENTRAL
-    eye = np.eye(6)
-    offsets = np.concatenate([t * h * eye for t, _ in taps])
-    weights = np.concatenate([w * eye for _, w in taps], axis=1) / (divisor * h)
-    return offsets, weights
-
-
 #: fixed generic rotation taking the adapted frame to each chart basis, and
 #: its compounds, which send chart components of k-forms to frame components.
 #: In the frame itself most partials of the structure forms vanish
 #: identically, and the Gray identities would miss most of the wedge table.
-_TURN = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))[0]
+_TURN = np.linalg.qr(standard_normals(random.Random(6), 36).reshape(6, 6))[0]
 _TURN_BACK = tuple(compound(_TURN.T, k) for k in range(7))
 
 
-def ext_d(field: FormField, p: Where, h: float, richardson: bool = False) -> np.ndarray:
-    """Exterior derivative at p by central differences, in frame components
-    (lex order).
+def ext_d(field: FormField, p: Where, h: float) -> np.ndarray:
+    """Exterior derivative at p by central differences, second order in h,
+    in frame components (lex order).
 
     Differentiates the components of the field in the projection chart
     spanned by the adapted frame at p, turned by `_TURN`, assembles
-    sum_j du^j ^ d/du_j and turns the result back.  Second order in h, or
-    fourth with `richardson`.  The field is evaluated and pulled back on the
-    whole stencil at once.
+    sum_j du^j ^ d/du_j and turns the result back.  The field is evaluated
+    and pulled back on the whole 12-point stencil at once.  A caller that
+    needs fourth order extrapolates the values at h and h/2.
     """
     _check_step(h)
     k = field.degree
     frame = _frame_at(p)
     chart = Chart(frame.point, frame.matrix @ _TURN)
-    offsets, weights = _stencil(h, richardson)
+    offsets = np.concatenate([h * np.eye(6), -h * np.eye(6)])
     ambient = field.ambient(chart.from_chart(offsets))
-    partials = weights @ pullback_form(ambient, k, chart.differential(offsets))
+    plus, minus = pullback_form(ambient, k, chart.differential(offsets)).reshape(2, 6, -1)
+    partials = (plus - minus) / (2.0 * h)
     # sum_j du^j ^ partial_j, through the wedge table of 1-forms with k-forms
     return np.einsum("jp,jpo->o", partials, _wedge_table(6, 1, k)) @ _TURN_BACK[k + 1]
 

@@ -27,6 +27,24 @@ assert cli.main(["verify-algebra", "--trials", "1"]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
 """
 
+#: the sphere suites of the stencil benchmark, which draw their samples from
+#: the stdlib generator
+_SPHERE_SUITES = """
+import sys
+from su3forms import verify_gray, verify_linearized_basis, verify_spectral
+for suite in (verify_gray, verify_spectral, verify_linearized_basis):
+    assert suite(samples=1).all_passed
+assert "numpy.random" not in sys.modules, "numpy.random was imported"
+"""
+
+
+def _run_script(script: str) -> subprocess.CompletedProcess:
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+
 
 def run(argv, stdin=None, monkeypatch=None):
     if stdin is not None:
@@ -44,12 +62,12 @@ def test_verify_algebra_passes(capsys):
 
 
 def test_algebra_use_never_imports_numpy():
-    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-c", _ALGEBRA_ONLY],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_script(_ALGEBRA_ONLY)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_sphere_suites_never_import_numpy_random():
+    proc = _run_script(_SPHERE_SUITES)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -44,6 +44,30 @@ def test_spectral_suite_small_run():
     }
 
 
+def test_spectral_point_where_a_harmonic_nearly_vanishes(monkeypatch):
+    # q0 = 4e-7: both harmonics through q0 are tiny there, so a scale taken
+    # from the sample would judge the order band on roundoff
+    from su3forms import sphere as sp
+
+    q = np.array([4e-7, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    q[1:] *= np.sqrt(1.0 - q[0] ** 2) / np.linalg.norm(q[1:])
+    monkeypatch.setattr(sp, "random_points", lambda seed, n: q[None, :])
+    assert verify_spectral(samples=1).all_passed
+
+
+def test_spectral_wrong_eigenvalue_fails(monkeypatch):
+    from su3forms import suites
+
+    wrong = {6.0: 5.0, 14.0: 12.0}
+    monkeypatch.setattr(
+        suites, "_HARMONICS",
+        tuple((name, fn, wrong[ev], sup) for name, fn, ev, sup in suites._HARMONICS),
+    )
+    report = verify_spectral(samples=4)
+    assert not any(c.passed for c in report.checks)
+    assert min(c.max_residual for c in report.checks) > 1e-2
+
+
 def test_linearized_suite_single_direction():
     report = verify_linearized(np.eye(7)[4], samples=8)
     assert report.all_passed
