@@ -79,8 +79,12 @@ def _emit(report: VerificationReport, out: str | None) -> int:
     for line in report.summary_lines():
         print(line)
     if out:
-        with open(out, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(report.to_json() + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.all_passed else 1
 
 
@@ -102,6 +106,8 @@ def _parse_direction(text: str) -> np.ndarray:
     if len(parts) != 7:
         raise ValueError(f"direction needs 7 components, got {len(parts)}")
     v = np.asarray(parts)
+    if not np.isfinite(v).all():
+        raise ValueError("direction components must be finite")
     if not np.linalg.norm(v):
         raise ValueError("direction must be nonzero")
     return v

@@ -513,11 +513,6 @@ def _contract_basis_terms(i: int, a: Mapping[int, Scalar]) -> dict[int, Scalar]:
     return out
 
 
-def contract_basis(i: int, a: Form) -> Form:
-    """Interior product e_i -| a for the i-th (0-based) basis vector."""
-    return Form._trusted(a.mode, _contract_basis_terms(i, a._c))
-
-
 def contract(x: Form, a: Form) -> Form:
     """Interior product x -| a of a vector (degree-1 form) into a.
 

@@ -313,8 +313,7 @@ class Chart:
     """Projection chart centered at a point p on the sphere.
 
     from_chart(u) = normalize(p + B u) with B an orthonormal tangent basis,
-    in `ext_d` the adapted frame at p turned by `_TURN`; to_chart is its
-    exact inverse on the open hemisphere around p.  from_chart and
+    in `ext_d` the adapted frame at p turned by `_TURN`.  from_chart and
     differential take chart points u of shape (..., 6).
     """
 
@@ -324,9 +323,6 @@ class Chart:
     def from_chart(self, u: np.ndarray) -> np.ndarray:
         w = self.p + u @ self.basis.T
         return w / np.linalg.norm(w, axis=-1, keepdims=True)
-
-    def to_chart(self, q: np.ndarray) -> np.ndarray:
-        return (self.basis.T @ q) / (self.p @ q)
 
     def differential(self, u: np.ndarray) -> np.ndarray:
         """d(from_chart) at u, (..., 7, 6) matrices of tangent columns."""

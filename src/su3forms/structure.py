@@ -467,47 +467,26 @@ def sym_plus_from_two_form(phi: Form) -> Endo:
 # symmetric J-anticommuting endomorphisms
 
 
-def _rref_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Sweep a list of exact vectors into an independent reduced set."""
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for vec in vectors:
-        v = list(vec)
-        for idx, basis_vec in pivots:
-            if v[idx]:
-                c = v[idx]
-                v = [a - c * b for a, b in zip(v, basis_vec)]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        c = v[lead]
-        v = [x / c for x in v]
-        pivots.append((lead, v))
-    pivots.sort()
-    return [v for _, v in pivots]
-
-
 @cache
 def sym_minus_basis(mode: str = EXACT) -> tuple[Endo, ...]:
     """Basis of the 12-dimensional space of symmetric J-anticommuting endos.
 
-    Built by projecting the symmetric generators with A -> (A + JAJ)/2 and
-    sweeping; symmetric J-anticommuting endomorphisms are automatically
-    traceless.  The basis is deterministic.
+    For each pair of J-planes, spanned by coordinates a, a+1 and b, b+1 with
+    even a <= b, two elements in this order: the symmetric endomorphism whose (a, b) and
+    (b, a) 2x2 blocks are diag(1, -1), and the one whose blocks are
+    [[0, 1], [1, 0]].  Both blocks anticommute with J's rotation block, and
+    symmetric J-anticommuting endomorphisms are automatically traceless.
     """
-    if mode == FLOAT:
-        return tuple(b.to_float() for b in sym_minus_basis(EXACT))
-    j = complex_structure(EXACT)
-    projected = []
-    for i in range(DIM):
-        for k in range(i, DIM):
-            gen = [[Fraction(0)] * DIM for _ in range(DIM)]
-            gen[i][k] += 1
-            gen[k][i] += 1
-            a = Endo(EXACT, gen)
-            p = (a + j @ a @ j).scale(Fraction(1, 2))
-            projected.append([Fraction(x) for x in p.flat()])
-    basis = _rref_basis(projected)
-    return tuple(Endo.from_flat(v, EXACT) for v in basis)
+    basis = []
+    for a in range(0, DIM, 2):
+        for b in range(a, DIM, 2):
+            for block in (((1, 0), (0, -1)), ((0, 1), (1, 0))):
+                rows = [[0] * DIM for _ in range(DIM)]
+                for r in range(2):
+                    for c in range(2):
+                        rows[a + r][b + c] = rows[b + c][a + r] = block[r][c]
+                basis.append(Endo(mode, rows))
+    return tuple(basis)
 
 
 @cache

@@ -131,3 +131,36 @@ def divergence_endo_oracle(s, p, h: float, frame):
             samples.append(v.T @ s(gamma) @ v)
         out -= (samples[0] - samples[1])[:, i] / (2.0 * h)
     return out
+
+
+def sym_minus_basis_oracle() -> list[list[list[Fraction]]]:
+    """Rows of the Sym^- basis built by projection and row reduction.
+
+    Each of the 21 symmetric generators E_ik + E_ki (i <= k) is projected
+    by A -> (A + JAJ)/2, with J e_{2i-1} = e_{2i}; each flattened image is
+    reduced against the earlier pivots, dropped if it vanishes and otherwise
+    scaled to a leading 1, and the rows are ordered by pivot.
+    """
+    n = 6
+    j = [[Fraction(0)] * n for _ in range(n)]
+    for p in range(0, n, 2):
+        j[p + 1][p] = Fraction(1)
+        j[p][p + 1] = Fraction(-1)
+    pivots: list[tuple[int, list[Fraction]]] = []
+    for i in range(n):
+        for k in range(i, n):
+            a = [[Fraction(0)] * n for _ in range(n)]
+            a[i][k] += 1
+            a[k][i] += 1
+            jaj = matmul_oracle(matmul_oracle(j, a), j)
+            v = [(a[r][c] + jaj[r][c]) / 2 for r in range(n) for c in range(n)]
+            for lead, basis_vec in pivots:
+                if v[lead]:
+                    c = v[lead]
+                    v = [x - c * y for x, y in zip(v, basis_vec)]
+            lead = next((idx for idx, x in enumerate(v) if x), None)
+            if lead is not None:
+                v = [x / v[lead] for x in v]
+                pivots.append((lead, v))
+    pivots.sort(key=lambda item: item[0])
+    return [[v[r * n : (r + 1) * n] for r in range(n)] for _, v in pivots]

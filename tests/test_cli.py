@@ -114,6 +114,22 @@ def test_usage_errors_exit_two(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_deformation_exits_two(capsys, value):
+    argv = ["verify-s6", "--samples", "1", "--deform", f"a={value},0,0,0,0,0,0"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
+def test_unwritable_report_path_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert run(["verify-algebra", "--trials", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suite, samples", [("gray", "0"), ("gray", "-1"), ("spectral", "0")])
 def test_empty_sphere_run_exits_two(capsys, suite, samples):
     assert run(["verify-s6", "--suite", suite, "--samples", samples]) == 2

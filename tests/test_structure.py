@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import forms_of_degree, rationals, vectors
-from oracles import evaluate_oracle, matmul_oracle
+from oracles import evaluate_oracle, matmul_oracle, sym_minus_basis_oracle
 from su3forms.forms import (
     DIM,
     EXACT,
@@ -305,6 +305,18 @@ def test_sym_minus_basis_has_dimension_twelve():
     for b in basis:
         assert sym_minus_residual(b) == 0
         assert b.trace() == 0
+
+
+def test_sym_minus_basis_matches_projection_oracle():
+    # a reordered or rescaled basis would change the sampled S and so the
+    # float reports, though it still spans Sym^-
+    expected = sym_minus_basis_oracle()
+    assert [[list(row) for row in b.rows] for b in sym_minus_basis(EXACT)] == expected
+    floats = sym_minus_basis(FLOAT)
+    assert [[list(row) for row in b.rows] for b in floats] == [
+        [[float(x) for x in row] for row in rows] for rows in expected
+    ]
+    assert all(type(x) is float for b in floats for x in b.flat())
 
 
 def test_sym_minus_to_form_relations():
