@@ -52,9 +52,7 @@ def main() -> int:
     sweep("structure equations", lambda h: verify_gray(args.samples, h, args.seed), steps)
     sweep(
         "linearized equations",
-        lambda h: verify_linearized(
-            np.eye(7)[6], args.samples, h, args.seed, rank_check=False
-        ),
+        lambda h: verify_linearized(np.eye(7)[6], args.samples, h, args.seed),
         steps,
     )
     sweep(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -67,6 +68,10 @@ class SuiteConfig:
             return "samples must be at least 1"
         if self.mode not in (EXACT, FLOAT):
             return f"unknown mode {self.mode!r}"
+        if self.out:
+            folder = os.path.dirname(os.path.abspath(self.out))
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                return f"report directory {folder} is missing or not writable"
         if self.suite != ALGEBRA:
             from su3forms.sphere import MIN_STEP
 

@@ -5,10 +5,12 @@ J_q X = q x X on the tangent space at q, omega_q = q -| phi for the
 associative 3-form phi(x, y, z) = <x cross y, z>, and psi_plus is the
 restriction of phi itself.  Differential operators (exterior derivative,
 Levi-Civita derivative, codifferential, Laplacian) are second-order central
-finite differences in a projection chart spanned by the adapted frame at the
-evaluation point, turned by one fixed rotation whose compounds take the
-derivative back to frame components.  Operators take a point or its
-`AdaptedFrame`, which a caller builds once per point.
+finite differences on one stencil: the great circles normalize(p + t x)
+through the evaluation point p, with a tangent basis at p projected to each
+stencil point.  The exterior derivative is the antisymmetrized covariant
+derivative along the adapted frame turned by one fixed rotation, whose
+compounds take the derivative back to frame components.  Operators take a
+point or its `AdaptedFrame`, which a caller builds once per point.
 Fields are evaluated in batches: each operator makes one field call on all
 the points of its stencil, and the ambient algebra broadcasts over leading
 axes.
@@ -305,32 +307,7 @@ def psi_minus_ambient(q: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# charts and frames
-
-
-@dataclass(frozen=True)
-class Chart:
-    """Projection chart centered at a point p on the sphere.
-
-    from_chart(u) = normalize(p + B u) with B an orthonormal tangent basis,
-    in `ext_d` the adapted frame at p turned by `_TURN`.  from_chart and
-    differential take chart points u of shape (..., 6).
-    """
-
-    p: np.ndarray
-    basis: np.ndarray
-
-    def from_chart(self, u: np.ndarray) -> np.ndarray:
-        w = self.p + u @ self.basis.T
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
-
-    def differential(self, u: np.ndarray) -> np.ndarray:
-        """d(from_chart) at u, (..., 7, 6) matrices of tangent columns."""
-        w = self.p + u @ self.basis.T
-        r = np.linalg.norm(w, axis=-1, keepdims=True)
-        q = w / r
-        normal = q[..., :, None] * (q @ self.basis)[..., None, :]
-        return (self.basis - normal) / r[..., None]
+# frames
 
 
 @dataclass(frozen=True)
@@ -400,7 +377,7 @@ class FormField:
 
     `ambient(q)` returns coefficients of a degree-`degree` form on R^7 whose
     restriction to T_q is the field's value; everything off the tangent
-    space is irrelevant and discarded by the chart and frame pullbacks.
+    space is irrelevant and discarded by the pullbacks along projected frames.
     Fields are evaluated in batches: q has shape (..., 7) and the result
     (..., C(7, degree)).  Endomorphism fields map q to ambient matrices
     (..., 7, 7), and the functions given to `laplacian` map it to (...).
@@ -428,10 +405,32 @@ def _check_step(h: float) -> None:
         raise ValueError(f"step {h} under the cancellation guard {MIN_STEP}")
 
 
-#: fixed generic rotation taking the adapted frame to each chart basis, and
-#: its compounds, which send chart components of k-forms to frame components.
-#: In the frame itself most partials of the structure forms vanish
-#: identically, and the Gray identities would miss most of the wedge table.
+def _stencil(p: np.ndarray, x: np.ndarray, h: float, basis: np.ndarray | None = None):
+    """Points normalize(p + t x) at t = h, -h for tangent directions x
+    (..., 7), shape (2, ..., 7), and the tangent basis (7, m) at p, when
+    given, projected to their tangent spaces, shape (2, ..., 7, m).  The
+    projected basis is parallel along each great circle at t = 0."""
+    _check_step(h)
+    t = np.array([h, -h]).reshape(2, *(1,) * x.ndim)
+    gamma = normalize(p + t * x)
+    if basis is None:
+        return gamma, None
+    return gamma, basis - gamma[..., :, None] * (gamma @ basis)[..., None, :]
+
+
+def _derivatives(field: FormField, p: np.ndarray, x: np.ndarray, basis: np.ndarray, h: float):
+    """Central differences along the great circles normalize(p + t x) of the
+    field pulled back along the projected basis, shape (..., C(m, degree))."""
+    gamma, v = _stencil(p, x, h, basis)
+    plus, minus = pullback_form(field.ambient(gamma), field.degree, v)
+    return (plus - minus) / (2.0 * h)
+
+
+#: fixed generic rotation taking the adapted frame to the basis `ext_d`
+#: differentiates along, and its compounds, which send components of k-forms
+#: in that basis to frame components.  Along the frame itself most partials
+#: of the structure forms vanish identically, and the Gray identities would
+#: miss most of the wedge table.
 _TURN = np.linalg.qr(standard_normals(random.Random(6), 36).reshape(6, 6))[0]
 _TURN_BACK = tuple(compound(_TURN.T, k) for k in range(7))
 
@@ -440,31 +439,22 @@ def ext_d(field: FormField, p: Where, h: float) -> np.ndarray:
     """Exterior derivative at p by central differences, second order in h,
     in frame components (lex order).
 
-    Differentiates the components of the field in the projection chart
-    spanned by the adapted frame at p, turned by `_TURN`, assembles
-    sum_j du^j ^ d/du_j and turns the result back.  The field is evaluated
-    and pulled back on the whole 12-point stencil at once.  A caller that
-    needs fourth order extrapolates the values at h and h/2.
+    The antisymmetrized covariant derivative sum_j b^j ^ nabla_{b_j}, over
+    the columns b_j of B = (adapted frame at p) @ `_TURN`, turned back to
+    the frame.  This is d in the coordinates u of u -> normalize(p + B u):
+    p is orthogonal to B, so at the stencil point u = +-h e_j the
+    differential of that map is the projected B divided by sqrt(1 + h^2),
+    and a k-form pulls back along it with the factor (1 + h^2)^(-k/2).  The
+    field is evaluated and pulled back on the whole 12-point stencil at
+    once.  A caller that needs fourth order extrapolates the values at h and
+    h/2.
     """
-    _check_step(h)
     k = field.degree
     frame = _frame_at(p)
-    chart = Chart(frame.point, frame.matrix @ _TURN)
-    offsets = np.concatenate([h * np.eye(6), -h * np.eye(6)])
-    ambient = field.ambient(chart.from_chart(offsets))
-    plus, minus = pullback_form(ambient, k, chart.differential(offsets)).reshape(2, 6, -1)
-    partials = (plus - minus) / (2.0 * h)
+    basis = frame.matrix @ _TURN
+    partials = _derivatives(field, frame.point, basis.T, basis, h) / (1.0 + h * h) ** (k / 2)
     # sum_j du^j ^ partial_j, through the wedge table of 1-forms with k-forms
     return np.einsum("jp,jpo->o", partials, _wedge_table(6, 1, k)) @ _TURN_BACK[k + 1]
-
-
-def _transported_frame(frame: AdaptedFrame, x: np.ndarray, h: float):
-    """Points normalize(p + t x) at t = h, -h for directions x (..., 7), and
-    the frame f of p projected to their tangent spaces, which is parallel at
-    t = 0: shapes (2, ..., 7) and (2, ..., 7, 6)."""
-    t = np.array([h, -h]).reshape(2, *(1,) * x.ndim)
-    gamma = normalize(frame.point + t * x)
-    return gamma, frame.matrix - gamma[..., :, None] * (gamma @ frame.matrix)[..., None, :]
 
 
 def covariant_d(field: FormField, x: np.ndarray, p: Where, h: float) -> np.ndarray:
@@ -473,10 +463,8 @@ def covariant_d(field: FormField, x: np.ndarray, p: Where, h: float) -> np.ndarr
     Differentiates the frame components of the field, in the transported
     frame, along the great-circle curve normalize(p + t x).
     """
-    _check_step(h)
-    gamma, v = _transported_frame(_frame_at(p), x, h)
-    plus, minus = pullback_form(field.ambient(gamma), field.degree, v)
-    return (plus - minus) / (2.0 * h)
+    frame = _frame_at(p)
+    return _derivatives(field, frame.point, x, frame.matrix, h)
 
 
 def divergence_endo(s: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -> np.ndarray:
@@ -485,9 +473,8 @@ def divergence_endo(s: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -
     Returned in frame components at p.  S is called once, on the curve
     points of all six frame directions.
     """
-    _check_step(h)
     frame = _frame_at(p)
-    gamma, v = _transported_frame(frame, frame.matrix.T, h)
+    gamma, v = _stencil(frame.point, frame.matrix.T, h, frame.matrix)
     plus, minus = np.swapaxes(v, -1, -2) @ s(gamma) @ v
     # column i of the derivative along f_i
     return -np.einsum("iai->a", plus - minus) / (2.0 * h)
@@ -526,7 +513,7 @@ def laplacian(fn: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -> flo
     directions; the curves normalize(p + t f_i) are geodesics at t = 0.  fn
     is called once on the twelve curve points.
     """
-    _check_step(h)
     frame = _frame_at(p)
-    plus, minus = fn(normalize(frame.point + np.array([h, -h])[:, None, None] * frame.matrix.T))
+    gamma, _ = _stencil(frame.point, frame.matrix.T, h)
+    plus, minus = fn(gamma)
     return -float(np.sum(plus - 2.0 * fn(frame.point) + minus)) / (h * h)

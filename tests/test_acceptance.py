@@ -219,9 +219,7 @@ def test_criterion_7_divergence_identities(cl_run):
 def test_criterion_8_defect_sensitivity():
     flipped = _by_name(verify_gray(samples=10, defect="flip_psi_minus"))
     scaled = _by_name(
-        verify_linearized(
-            np.eye(7)[6], samples=10, defect="scale_psi_plus_dot", rank_check=False
-        )
+        verify_linearized(np.eye(7)[6], samples=10, defect="scale_psi_plus_dot")
     )
     r1 = flipped["d_psi_minus_vs_omega_sq"].max_residual
     r2 = scaled["d_omega_dot_vs_psi_plus_dot"].max_residual

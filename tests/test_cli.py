@@ -122,12 +122,23 @@ def test_non_finite_deformation_exits_two(capsys, value):
     assert captured.out == "" and "finite" in captured.err
 
 
-def test_unwritable_report_path_exits_two(tmp_path, capsys):
-    out = tmp_path / "missing" / "r.json"
-    assert run(["verify-algebra", "--trials", "1", "--out", str(out)]) == 2
+def _assert_rejected_before_running(argv, out, capsys):
+    assert run([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
+    # rejected as a usage error: no suite ran, so no summary line printed
+    assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
     assert not out.exists()
+
+
+def test_unwritable_report_path_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    _assert_rejected_before_running(["verify-algebra", "--trials", "1"], out, capsys)
+
+
+def test_unwritable_s6_report_path_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    _assert_rejected_before_running(["verify-s6", "--suite", "gray", "--samples", "1"], out, capsys)
 
 
 @pytest.mark.parametrize("suite, samples", [("gray", "0"), ("gray", "-1"), ("spectral", "0")])

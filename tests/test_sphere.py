@@ -1,4 +1,4 @@
-"""Six-sphere model: frames, charts, finite differences, Gray relations."""
+"""Six-sphere model: frames, stencils, finite differences, Gray relations."""
 
 from __future__ import annotations
 
@@ -89,37 +89,34 @@ def test_frame_selection_is_reusable():
     assert np.abs(frame.matrix - again.matrix).max() == 0.0
 
 
-def _frame_chart(q: np.ndarray) -> sp.Chart:
-    return sp.Chart(q, sp.adapted_frame(q).matrix)
-
-
-def test_chart_round_trip():
+def test_stencil_points_lie_on_the_sphere():
+    rng = np.random.default_rng(3)
     for q in POINTS[:10]:
-        chart = _frame_chart(q)
-        rng = np.random.default_rng(3)
-        u = 0.3 * rng.standard_normal(6)
-        p = chart.from_chart(u)
-        assert abs(p @ p - 1.0) < 1e-14
+        f = sp.adapted_frame(q).matrix
+        x = 0.3 * rng.standard_normal((5, 6)) @ f.T
+        gamma, v = sp._stencil(q, x, 1e-2, f)
+        assert gamma.shape == (2, 5, 7) and v.shape == (2, 5, 7, 6)
+        assert np.abs(np.linalg.norm(gamma, axis=-1) - 1.0).max() < 1e-14
+        # the projected frame is tangent at each stencil point
+        assert np.abs(np.einsum("...a,...ab->...b", gamma, v)).max() < 1e-14
 
 
-def test_chart_differential_at_origin_is_orthonormal():
-    q = POINTS[1]
-    chart = _frame_chart(q)
-    d0 = chart.differential(np.zeros(6))
-    assert np.abs(d0.T @ d0 - np.eye(6)).max() < 1e-12
-
-
-def test_batched_chart_differential_is_the_jacobian():
-    chart = _frame_chart(POINTS[4])
-    us = 0.3 * np.random.default_rng(23).standard_normal((5, 6))
-    points, diffs = chart.from_chart(us), chart.differential(us)
+def test_projected_basis_is_the_stencil_jacobian():
+    # ext_d's derivation: at u = +-h e_j the differential of
+    # u -> normalize(p + B u) is the projected B over sqrt(1 + h^2)
+    q = POINTS[4]
+    basis = sp.adapted_frame(q).matrix @ sp._TURN
     eps = 1e-6
-    for u, p, d in zip(us, points, diffs):
-        assert np.abs(chart.from_chart(u) - p).max() < 1e-15
-        jac = np.column_stack(
-            [chart.from_chart(u + eps * e) - chart.from_chart(u - eps * e) for e in np.eye(6)]
-        ) / (2 * eps)
-        assert np.abs(d - jac).max() < 1e-8
+    for h in (1e-3, 0.1):
+        gamma, v = sp._stencil(q, basis.T, h, basis)
+        for t, points, diffs in zip((h, -h), gamma, v / np.sqrt(1.0 + h * h)):
+            for u, p, d in zip(t * np.eye(6), points, diffs):
+                assert np.abs(sp.normalize(q + basis @ u) - p).max() < 1e-15
+                jac = np.column_stack(
+                    [sp.normalize(q + basis @ (u + eps * e))
+                     - sp.normalize(q + basis @ (u - eps * e)) for e in np.eye(6)]
+                ) / (2 * eps)
+                assert np.abs(d - jac).max() < 1e-9
 
 
 def test_psi_plus_field_is_closed():
@@ -195,13 +192,6 @@ def test_codifferential_on_structure_forms():
         # delta psi_plus = -*d*psi_plus = -*d(psi_minus) = 4 omega
         r = max_abs(sp.codifferential(ppfield, q, 1e-3) - 4.0 * OM)
         assert r < 1e-5
-
-
-def test_step_guard():
-    with pytest.raises(ValueError):
-        sp.ext_d(sp.omega_field(), POINTS[0], 1e-8)
-    with pytest.raises(ValueError):
-        sp.laplacian(lambda p: p[0], POINTS[0], 0.0)
 
 
 def test_deformation_bundle_matches_flat_jet():
@@ -322,18 +312,27 @@ def test_divergence_endo_matches_per_direction_oracle():
 # operators at a point or at its adapted frame
 
 
-def _operators() -> dict:
-    """Each operator the suites apply, as a function of where it evaluates."""
+def _operators(h: float = 1e-3) -> dict:
+    """Each operator the suites apply at step h, as a function of where it
+    evaluates."""
     center = POINTS[8]
     x = sp.adapted_frame(center).matrix @ np.random.default_rng(59).standard_normal(6)
     _, h_amb, _, _, _, _ = _cl_fields(center)
     return {
-        "ext_d": lambda w: sp.ext_d(sp.psi_minus_field(), w, 1e-3),
-        "covariant_d": lambda w: sp.covariant_d(sp.omega_field(), x, w, 1e-3),
-        "divergence_endo": lambda w: sp.divergence_endo(h_amb, w, 1e-3),
-        "codifferential": lambda w: sp.codifferential(sp.psi_plus_field(), w, 1e-3),
-        "laplacian": lambda w: np.array(sp.laplacian(lambda q: q[..., 0] * q[..., 1], w, 1e-3)),
+        "ext_d": lambda w: sp.ext_d(sp.psi_minus_field(), w, h),
+        "covariant_d": lambda w: sp.covariant_d(sp.omega_field(), x, w, h),
+        "divergence_endo": lambda w: sp.divergence_endo(h_amb, w, h),
+        "codifferential": lambda w: sp.codifferential(sp.psi_plus_field(), w, h),
+        "laplacian": lambda w: np.array(sp.laplacian(lambda q: q[..., 0] * q[..., 1], w, h)),
     }
+
+
+@pytest.mark.parametrize("name", list(_operators()))
+def test_step_guard(name):
+    # every operator places its points through the one guarded stencil
+    for h in (1e-8, 0.0):
+        with pytest.raises(ValueError):
+            _operators(h)[name](POINTS[0])
 
 
 @pytest.mark.parametrize("name", list(_operators()))
@@ -345,12 +344,11 @@ def test_operator_on_a_point_equals_it_on_the_frame(name):
     assert np.array_equal(op(q), op(frame))
 
 
-def test_chart_off_the_frame_is_caught(monkeypatch):
-    # a chart basis with two columns swapped is no longer the turned frame,
+def test_turn_off_the_frame_is_caught(monkeypatch):
+    # with two columns of the turn swapped, _TURN_BACK no longer undoes it,
     # so ext_d reports its result in the wrong basis
     assert verify_gray(samples=2).all_passed
-    chart = sp.Chart
-    monkeypatch.setattr(sp, "Chart", lambda p, basis: chart(p, basis[:, [1, 0, 2, 3, 4, 5]]))
+    monkeypatch.setattr(sp, "_TURN", sp._TURN[:, [1, 0, 2, 3, 4, 5]])
     report = verify_gray(samples=2)
     assert not report.all_passed
     assert max(c.max_residual for c in report.checks) > 1e-2
@@ -467,7 +465,7 @@ def fresh_sphere_caches():
 
 
 def _flipped_laplace_sign(table):
-    # a 2x2 minor of the (7, 6) chart differential becomes a permanent
+    # a 2x2 minor of the (7, 6) projected frame becomes a permanent
     def patched(n, m, d):
         ent, sub, signs = table(n, m, d)
         if (n, m, d) == (7, 6, 2):

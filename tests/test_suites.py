@@ -112,9 +112,7 @@ def test_flipped_psi_minus_is_caught():
 
 
 def test_scaled_psi_plus_dot_is_caught():
-    report = verify_linearized(
-        np.eye(7)[6], samples=6, defect="scale_psi_plus_dot", rank_check=False
-    )
+    report = verify_linearized(np.eye(7)[6], samples=6, defect="scale_psi_plus_dot")
     assert not report.all_passed
     checks = _by_name(report)
     assert checks["d_omega_dot_vs_psi_plus_dot"].max_residual > 1e-2
