@@ -101,8 +101,23 @@ def test_stencil_points_lie_on_the_sphere():
         assert np.abs(np.einsum("...a,...ab->...b", gamma, v)).max() < 1e-14
 
 
-def test_projected_basis_is_the_stencil_jacobian():
-    # ext_d's derivation: at u = +-h e_j the differential of
+def test_chart_differential_at_origin_is_orthonormal():
+    # ext_d differentiates in the chart u -> normalize(p + B u) with
+    # B = frame @ _TURN; at u = 0 its differential is B, orthonormal and
+    # tangent at p
+    q = POINTS[1]
+    basis = sp.adapted_frame(q).matrix @ sp._TURN
+    eps = 1e-6
+    d0 = np.column_stack(
+        [sp.normalize(q + eps * b) - sp.normalize(q - eps * b) for b in basis.T]
+    ) / (2 * eps)
+    assert np.abs(d0 - basis).max() < 1e-9
+    assert np.abs(basis.T @ basis - np.eye(6)).max() < 1e-12
+    assert np.abs(q @ basis).max() < 1e-12
+
+
+def test_batched_chart_differential_is_the_jacobian():
+    # ext_d's derivation: at u = +-h e_j the differential of the chart
     # u -> normalize(p + B u) is the projected B over sqrt(1 + h^2)
     q = POINTS[4]
     basis = sp.adapted_frame(q).matrix @ sp._TURN
