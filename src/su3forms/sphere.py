@@ -9,11 +9,13 @@ finite differences on one stencil: the great circles normalize(p + t x)
 through the evaluation point p, with a tangent basis at p projected to each
 stencil point.  The exterior derivative is the antisymmetrized covariant
 derivative along the adapted frame turned by one fixed rotation, whose
-compounds take the derivative back to frame components.  Operators take a
-point or its `AdaptedFrame`, which a caller builds once per point.
-Fields are evaluated in batches: each operator makes one field call on all
-the points of its stencil, and the ambient algebra broadcasts over leading
-axes.
+compounds take the derivative back to frame components.  The codifferential
+is minus the trace of the covariant derivative along the frame itself,
+-sum_j f_j -| nabla_{f_j}, which equals -*d* on the even-dimensional sphere.
+Operators take a point or its `AdaptedFrame`, which a caller builds once per
+point.  Fields are evaluated in batches: each operator makes one field call
+on all the points of its stencil, and the ambient algebra broadcasts over
+leading axes.
 
 Forms on R^7 and frame values on the tangent space are numpy coefficient
 vectors over index combinations in lexicographic order, with product and
@@ -34,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from su3forms.forms import EXACT, Form, hodge_star, wedge_sign
+from su3forms.forms import EXACT, Form, wedge_sign
 from su3forms.forms import contraction_sign as _contraction_sign
 
 AMBIENT_DIM = 7
@@ -480,30 +482,17 @@ def divergence_endo(s: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -
     return -np.einsum("iai->a", plus - minus) / (2.0 * h)
 
 
-def star_field(field: FormField, center: Where) -> FormField:
-    """Pointwise Hodge star of a field, as a new field.
-
-    Restricts to the adapted frame near `center` (with the frame selection
-    frozen there, so the construction is smooth across a stencil), applies
-    the kernel's exact star, and extends back to an ambient form.
-    """
-    selection = _frame_at(center).selection
-    k = field.degree
-
-    def ambient(q: np.ndarray) -> np.ndarray:
-        f = adapted_frame(q, selection).matrix
-        restricted = pullback_form(field.ambient(q), k, f)
-        starred = restricted @ kernel_matrix(hodge_star, k)
-        return pullback_form(starred, 6 - k, np.swapaxes(f, -1, -2))
-
-    return FormField(6 - k, ambient)
-
-
 def codifferential(field: FormField, p: Where, h: float) -> np.ndarray:
-    """Codifferential -*d* of a form field at p, in frame components."""
+    """Codifferential of a form field at p, in frame components.
+
+    delta beta = -sum_j f_j -| nabla_{f_j} beta over the adapted frame f_j,
+    which on the even-dimensional sphere equals -*d*: the covariant
+    derivatives of `covariant_d` along the six frame vectors, from one field
+    call on the 12-point stencil, contracted into their directions.
+    """
     frame = _frame_at(p)
-    du = ext_d(star_field(field, frame), frame, h)
-    return -(du @ kernel_matrix(hodge_star, 7 - field.degree))
+    partials = _derivatives(field, frame.point, frame.matrix.T, frame.matrix, h)
+    return -np.einsum("jp,jpo->o", partials, _contract_table(6, field.degree))
 
 
 def laplacian(fn: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -> float:

@@ -85,6 +85,11 @@ def _max_norm(v: np.ndarray) -> float:
     return np.abs(v).max()
 
 
+def _frames(seed: int, samples: int) -> list[sp.AdaptedFrame]:
+    """Adapted frames at the seeded sample points."""
+    return [sp.adapted_frame(p) for p in sp.random_points(seed, samples)]
+
+
 # ---------------------------------------------------------------------------
 # Gray system
 
@@ -101,7 +106,6 @@ def verify_gray(
     """
     require_count("samples", samples)
     rng = random.Random(seed)
-    pts = sp.random_points(seed, samples)
     ofield = sp.omega_field()
     pmfield = sp.psi_minus_field()
     if defect == "flip_psi_minus":
@@ -112,7 +116,7 @@ def verify_gray(
     ppfield = sp.psi_plus_field()
 
     ledger = Ledger()
-    for frame in map(sp.adapted_frame, pts):
+    for frame in _frames(seed, samples):
         f = frame.matrix
         x = f @ sp.standard_normals(rng, 6)
         x /= np.linalg.norm(x)
@@ -154,7 +158,7 @@ def verify_spectral(samples: int = 50, h: float = 1e-3, seed: int = 0) -> Verifi
     7 for q0 q1), which no sample point can shrink.
     """
     require_count("samples", samples)
-    frames = [sp.adapted_frame(p) for p in sp.random_points(seed, samples)]
+    frames = _frames(seed, samples)
     ledger = Ledger()
     for name, fn, ev, sup in _HARMONICS:
         scale = ev * sup
@@ -244,6 +248,43 @@ def deformation_span_ratio(seed: int = 0, probes: int = 5) -> float:
     return float(s[-1] / s[0])
 
 
+def _linearized_checks(
+    a: np.ndarray, frames: list[sp.AdaptedFrame], h: float, defect: str | None
+) -> list[CheckResult]:
+    """The three linearized identities along the bundle of a, at frames."""
+    bundle = sphere_deformation(a)
+    pp_dot = bundle.psi_plus_dot
+    if defect == "scale_psi_plus_dot":
+        base = pp_dot.ambient
+        pp_dot = sp.FormField(3, lambda q: 1.1 * base(q))
+    elif defect is not None:
+        raise ValueError(f"unknown defect {defect!r}")
+
+    ledger = Ledger()
+    for frame in frames:
+        p, f = frame.point, frame.matrix
+        ppd_p = sp.pullback_form(pp_dot.ambient(p), 3, f)
+        od_p = sp.pullback_form(bundle.omega_dot.ambient(p), 2, f)
+        od_om = od_p @ sp.kernel_matrix(_wedge_omega, 2)
+        # (check, field, its claimed exterior derivative), in name order
+        identities = (
+            ("d_omega_dot_vs_psi_plus_dot", bundle.omega_dot, 3.0 * ppd_p),
+            ("d_psi_minus_dot_vs_omega_dot_wedge", bundle.psi_minus_dot, -4.0 * od_om),
+            ("five_form_vs_volume", bundle.xi_omega_sq, -12.0 * bundle.mu(p) * _VOL),
+        )
+        for name, field, claimed in identities:
+            d_h, d_half = (sp.ext_d(field, frame, step) for step in (h, h / 2))
+            # slot 0: their Richardson extrapolation; slots 1 and 2: h and h/2
+            for idx, d in enumerate(((4.0 * d_half - d_h) / 3.0, d_h, d_half)):
+                ledger.add(name, _max_norm(d - claimed), idx)
+    return [ledger.result(name, LINEARIZED_TOL, order=(1, 2)) for name, _, _ in identities]
+
+
+def _span_check(seed: int) -> CheckResult:
+    ratio = deformation_span_ratio(seed)
+    return CheckResult("span_rank_singular_ratio", ratio, None, ratio >= RANK_RATIO_MIN)
+
+
 def verify_linearized(
     a: np.ndarray,
     samples: int = 50,
@@ -262,37 +303,8 @@ def verify_linearized(
     defect="scale_psi_plus_dot" multiplies psi_plus_dot by 1.1.
     """
     require_count("samples", samples)
-    bundle = sphere_deformation(a)
-    pp_dot = bundle.psi_plus_dot
-    if defect == "scale_psi_plus_dot":
-        base = pp_dot.ambient
-        pp_dot = sp.FormField(3, lambda q: 1.1 * base(q))
-    elif defect is not None:
-        raise ValueError(f"unknown defect {defect!r}")
-
-    pts = sp.random_points(seed, samples)
-    ledger = Ledger()
-    for frame in map(sp.adapted_frame, pts):
-        p, f = frame.point, frame.matrix
-        ppd_p = sp.pullback_form(pp_dot.ambient(p), 3, f)
-        od_p = sp.pullback_form(bundle.omega_dot.ambient(p), 2, f)
-        od_om = od_p @ sp.kernel_matrix(_wedge_omega, 2)
-        # (check, field, its claimed exterior derivative)
-        identities = (
-            ("d_omega_dot_vs_psi_plus_dot", bundle.omega_dot, 3.0 * ppd_p),
-            ("d_psi_minus_dot_vs_omega_dot_wedge", bundle.psi_minus_dot, -4.0 * od_om),
-            ("five_form_vs_volume", bundle.xi_omega_sq, -12.0 * bundle.mu(p) * _VOL),
-        )
-        for name, field, claimed in identities:
-            d_h, d_half = (sp.ext_d(field, frame, step) for step in (h, h / 2))
-            # slot 0: their Richardson extrapolation; slots 1 and 2: h and h/2
-            for idx, d in enumerate(((4.0 * d_half - d_h) / 3.0, d_h, d_half)):
-                ledger.add(name, _max_norm(d - claimed), idx)
-
-    checks = [ledger.result(name, LINEARIZED_TOL, order=(1, 2)) for name, _, _ in identities]
-    ratio = deformation_span_ratio(seed)
-    checks.append(CheckResult("span_rank_singular_ratio", ratio, None, ratio >= RANK_RATIO_MIN))
-    return VerificationReport("linearized", h, samples, seed, tuple(checks))
+    checks = _linearized_checks(a, _frames(seed, samples), h, defect)
+    return VerificationReport("linearized", h, samples, seed, (*checks, _span_check(seed)))
 
 
 def _severity(c: CheckResult) -> tuple:
@@ -305,17 +317,18 @@ def _severity(c: CheckResult) -> tuple:
 def verify_linearized_basis(
     samples: int = 50, h: float = 1e-3, seed: int = 0, defect: str | None = None
 ) -> VerificationReport:
-    """Aggregate of verify_linearized over the seven coordinate directions:
-    per check, the worst direction (a failing one before a passing one,
-    then the larger residual, NaN largest; ties keep the first).  The
-    span-rank check is the same in every direction."""
+    """Aggregate of verify_linearized over the seven coordinate directions,
+    on one set of frames: per check, the worst direction (a failing one
+    before a passing one, then the larger residual, NaN largest; ties keep
+    the first).  The span-rank check has no direction and is taken once."""
+    require_count("samples", samples)
+    frames = _frames(seed, samples)
     by_name: dict[str, list[CheckResult]] = {}
     for a in np.eye(7):
-        for c in verify_linearized(a, samples, h, seed, defect=defect).checks:
+        for c in _linearized_checks(a, frames, h, defect):
             by_name.setdefault(c.name, []).append(c)
-    merged = {name: max(cs, key=_severity) for name, cs in by_name.items()}
-    checks = tuple(merged[k] for k in sorted(merged))
-    return VerificationReport("linearized", h, samples, seed, checks)
+    checks = tuple(max(cs, key=_severity) for cs in by_name.values())
+    return VerificationReport("linearized", h, samples, seed, (*checks, _span_check(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +415,12 @@ def verify_cl_identities(
     """
     require_count("samples", samples)
     rng = random.Random(seed)
-    pts = sp.random_points(seed, samples)
     n_fields = 2
     betas = [sp.standard_normals(rng, 21) for _ in range(n_fields)]
     gammas = [sp.standard_normals(rng, 35) for _ in range(n_fields)]
 
     ledger = Ledger()
-    for n, frame in enumerate(map(sp.adapted_frame, pts)):
+    for n, frame in enumerate(_frames(seed, samples)):
         phif, h_amb, lam_field, s_amb, s_pp, s_pm = _cl_fields(
             betas[n % n_fields], gammas[n % n_fields], frame.selection
         )
@@ -438,7 +450,7 @@ def verify_cl_identities(
     # the family's unit coefficients: constant parts, then each (m, i) entry of lin
     units = [(c, None) for c in np.eye(21)]
     units += [(np.zeros(21), lin.reshape(7, 21)) for lin in np.eye(7 * 21)]
-    for frame in map(sp.adapted_frame, sp.random_points(seed + 1, n_gate)):
+    for frame in _frames(seed + 1, n_gate):
         columns = [
             sp.codifferential(invariant_two_form_field(c, lin, primitive=True), frame, h)
             for c, lin in units

@@ -231,12 +231,49 @@ def test_deformation_bundle_matches_flat_jet():
         assert max_abs(coeffs(jet.psi_minus_dot, 3) - pmd) < 1e-12
 
 
-def test_star_field_matches_kernel_star():
-    q = POINTS[3]
-    starred = sp.star_field(sp.omega_field(), q)
-    f = sp.adapted_frame(q).matrix
-    restricted = sp.pullback_form(starred.ambient(q), 4, f)
-    assert max_abs(restricted - coeffs(hodge_star(omega()), 4)) < 1e-12
+def _ambient_star(q: np.ndarray, beta: np.ndarray, k: int) -> np.ndarray:
+    """Ambient (6-k)-form restricting to the sphere's Hodge star of beta|T:
+    *_S(beta|T) = (-1)^(k+1) (q -| *_7 beta)|T, independent of any frame."""
+    star7 = beta @ sp._wedge_table(7, k, 7 - k)[..., 0]
+    return (-1) ** (k + 1) * sp.contract_ambient(q, star7, 7 - k)
+
+
+def test_ambient_star_is_the_kernel_star_in_the_adapted_frame():
+    rng = np.random.default_rng(61)
+    for q in POINTS[:4]:
+        f = sp.adapted_frame(q).matrix
+        for k in range(7):
+            beta = rng.standard_normal(len(sp.combos(7, k)))
+            starred = sp.pullback_form(_ambient_star(q, beta, k), 6 - k, f)
+            expected = sp.pullback_form(beta, k, f) @ sp.kernel_matrix(hodge_star, k)
+            assert max_abs(starred - expected) < 1e-14
+
+
+def _codifferential_oracle(field: sp.FormField, q: np.ndarray, h: float) -> np.ndarray:
+    # -*d* through the ambient star, differentiated by ext_d
+    k = field.degree
+    starred = sp.FormField(6 - k, lambda p: _ambient_star(p, field.ambient(p), k))
+    return -(sp.ext_d(starred, q, h) @ sp.kernel_matrix(hodge_star, 7 - k))
+
+
+@pytest.mark.parametrize("name", ["phi", "S_psi_plus", "primitive_two_form"])
+def test_codifferential_is_minus_star_d_star(name):
+    # minus the trace of the covariant derivative and -*d* differ by
+    # truncation error only, which shrinks at second order
+    q = POINTS[5]
+    phif, _, _, _, s_pp, _ = _cl_fields(q)
+    rng = np.random.default_rng(67)
+    primitive = suites.invariant_two_form_field(
+        rng.standard_normal(21), rng.standard_normal((7, 21)), primitive=True
+    )
+    field = {"phi": phif, "S_psi_plus": s_pp, "primitive_two_form": primitive}[name]
+    diffs = []
+    for h in (1e-3, 5e-4):
+        expected = _codifferential_oracle(field, q, h)
+        diff = max_abs(sp.codifferential(field, q, h) - expected)
+        assert diff <= 1e-5 * max_abs(expected)
+        diffs.append(diff)
+    assert 1.8 <= np.log2(diffs[0] / diffs[1]) <= 2.2
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +306,6 @@ def _suite_fields() -> dict:
         "psi_plus_dot": bundle.psi_plus_dot.ambient,
         "psi_minus_dot": bundle.psi_minus_dot.ambient,
         "xi_omega_sq": bundle.xi_omega_sq.ambient,
-        "star_psi_minus": sp.star_field(sp.psi_minus_field(), center).ambient,
         "primitive_two_form": suites.invariant_two_form_field(
             const, lin, primitive=True
         ).ambient,
@@ -515,23 +551,22 @@ def test_stencil_table_defect_is_caught(fresh_sphere_caches, monkeypatch, name, 
     assert max(c.max_residual for c in report.checks) > 1e-2
 
 
-def _flipped_star_sign(kernel_matrix):
-    # one sign of the Hodge star on 2-forms, which star_field applies to
-    # every 2-form field the codifferential sees
-    def patched(op, k):
-        out = kernel_matrix(op, k)
-        if op is hodge_star and k == 2:
+@pytest.mark.parametrize("k", [2, 3])
+def test_contraction_table_defect_is_caught(monkeypatch, k):
+    # one sign of the frame contraction table on k-forms, which the
+    # codifferential contracts its covariant derivatives with; the ambient
+    # operators read the n = 7 tables and stay healthy
+    table = sp._contract_table
+
+    def patched(n, degree):
+        out = table(n, degree)
+        if (n, degree) == (6, k):
             out = out.copy()
             out[tuple(np.argwhere(out)[0])] *= -1.0
         return out
 
-    return patched
-
-
-def test_star_matrix_defect_is_caught(fresh_sphere_caches, monkeypatch):
     assert verify_cl_identities(samples=2).all_passed
-    monkeypatch.setattr(sp, "kernel_matrix", _flipped_star_sign(sp.kernel_matrix))
-    _clear_sphere_caches()
+    monkeypatch.setattr(sp, "_contract_table", patched)
     report = verify_cl_identities(samples=2)
     assert not report.all_passed
     assert max(c.max_residual for c in report.checks) > 1e-2
