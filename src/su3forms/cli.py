@@ -118,11 +118,10 @@ def _parse_direction(text: str) -> np.ndarray:
     return v
 
 
-def cmd_verify_s6(cfg: SuiteConfig, deform: str | None) -> int:
+def cmd_verify_s6(cfg: SuiteConfig, a: np.ndarray | None) -> int:
     from su3forms import suites
 
-    if deform is not None:
-        a = _parse_direction(deform)
+    if a is not None:
         report = suites.verify_linearized(a, cfg.samples, cfg.h, cfg.seed)
         return _emit(report, cfg.out)
     if cfg.suite == "gray":
@@ -253,12 +252,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     if (msg := cfg.problem()):
         parser.error(msg)
+    a = None
     if args.deform is not None:
         try:
-            _parse_direction(args.deform)
+            a = _parse_direction(args.deform)
         except ValueError as exc:
             parser.error(str(exc))
-    return cmd_verify_s6(cfg, args.deform)
+    return cmd_verify_s6(cfg, a)
 
 
 if __name__ == "__main__":

@@ -104,7 +104,8 @@ def random_points(seed: int, n: int) -> np.ndarray:
 
 @cache
 def combos(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(combinations(range(n), k))
+    """k-combinations of range(n) in lex order; none for k < 0."""
+    return tuple(combinations(range(n), k)) if k >= 0 else ()
 
 
 @cache
@@ -249,20 +250,15 @@ def frame_coeffs_from_form(u: Form, k: int) -> np.ndarray:
 def kernel_matrix(op: Callable, k: int) -> np.ndarray:
     """Matrix of a linear operator of the six-dimensional kernel on k-forms.
 
-    Row i is op applied, in exact mode, to the i-th k-blade in lex order:
-    the image's coefficient vector, or the 36 row-major entries of the
-    image when op returns an endomorphism.  A frame value u maps to
+    Row i is the coefficient vector of op applied, in exact mode, to the
+    i-th k-blade in lex order.  A frame value u maps to
     u @ kernel_matrix(op, k).
     """
     images = [
         op(Form(EXACT, {sum(1 << i for i in c): 1})) for c in combos(6, k)
     ]
-    if not isinstance(images[0], Form):
-        rows = [[float(x) for x in e.flat()] for e in images]
-    else:
-        k_out = max(d for u in images for d in u.degrees)
-        rows = [frame_coeffs_from_form(u, k_out) for u in images]
-    table = np.array(rows)
+    k_out = max(d for u in images for d in u.degrees)
+    table = np.array([frame_coeffs_from_form(u, k_out) for u in images])
     table.setflags(write=False)
     return table
 
@@ -319,39 +315,31 @@ class AdaptedFrame:
     The last pair is generated by the cross product of the first and third
     vectors, which pins the frame to the standard orbit: the structure forms
     restrict to their exact normal forms, not merely to U(3)-equivalent ones.
-    `selection` records which ambient axes seeded the construction so a
-    neighboring point can reuse them (keeping the frame field smooth across
-    a finite-difference stencil).  `matrix` (..., 7, 6) is built at `point` q.
+    `matrix` (7, 6) is built at `point` q.
     """
 
     matrix: np.ndarray
-    selection: tuple[int, int]
     point: np.ndarray
 
 
-def adapted_frame(q: np.ndarray, selection: tuple[int, int] | None = None) -> AdaptedFrame:
-    """Adapted frames at points q of shape (..., 7) from a given selection, or
-    at a single point q with the selection picked there."""
+def adapted_frame(q: np.ndarray) -> AdaptedFrame:
+    """Adapted frame at a point q of shape (7,), seeded by the ambient axes
+    on which q is smallest."""
     eye = np.eye(AMBIENT_DIM)
-    if selection is None:
-        order = sorted(range(AMBIENT_DIM), key=lambda i: (abs(q[i]), i))
-        first = order[0]
-    else:
-        first, third = selection
-    f1 = normalize(eye[first] - q[..., first, None] * q)
+    order = sorted(range(AMBIENT_DIM), key=lambda i: (abs(q[i]), i))
+    f1 = normalize(eye[order[0]] - q[order[0]] * q)
     f2 = cross(q, f1)
-    if selection is None:
-        # the complement of span(q, f1, f2) is 4-dimensional, so some other
-        # axis keeps a projection of norm at least sqrt(1/2) on it
-        third = next(
-            c for c in order[1:]
-            if np.linalg.norm(_orthogonalize(eye[c], (q, f1, f2))) > 0.35
-        )
+    # the complement of span(q, f1, f2) is 4-dimensional, so some other
+    # axis keeps a projection of norm at least sqrt(1/2) on it
+    third = next(
+        c for c in order[1:]
+        if np.linalg.norm(_orthogonalize(eye[c], (q, f1, f2))) > 0.35
+    )
     f3 = normalize(_orthogonalize(eye[third], (q, f1, f2)))
     f4 = cross(q, f3)
     f5 = cross(f1, f3)
     f6 = cross(q, f5)
-    return AdaptedFrame(np.stack([f1, f2, f3, f4, f5, f6], axis=-1), (first, third), q)
+    return AdaptedFrame(np.stack([f1, f2, f3, f4, f5, f6], axis=-1), q)
 
 
 #: where an operator evaluates: a point, or the adapted frame built there
@@ -430,11 +418,11 @@ def _derivatives(field: FormField, p: np.ndarray, x: np.ndarray, basis: np.ndarr
 
 #: fixed generic rotation taking the adapted frame to the basis `ext_d`
 #: differentiates along, and its compounds, which send components of k-forms
-#: in that basis to frame components.  Along the frame itself most partials
-#: of the structure forms vanish identically, and the Gray identities would
-#: miss most of the wedge table.
+#: in that basis to frame components (k = 7 is empty: d of a 6-form).  Along
+#: the frame itself most partials of the structure forms vanish identically,
+#: and the Gray identities would miss most of the wedge table.
 _TURN = np.linalg.qr(standard_normals(random.Random(6), 36).reshape(6, 6))[0]
-_TURN_BACK = tuple(compound(_TURN.T, k) for k in range(7))
+_TURN_BACK = tuple(compound(_TURN.T, k) for k in range(8))
 
 
 def ext_d(field: FormField, p: Where, h: float) -> np.ndarray:

@@ -8,12 +8,11 @@ the working step (the 5-form volume identity), the residual is judged on
 the Richardson extrapolation of the h and h/2 values, while the order is
 still measured on the plain scheme; both numbers appear in the report.
 
-Test fields for the divergence identities are built from constant ambient
-forms: restriction to the tangent space, invariant projection, and (for the
-endomorphism fields) a kernel operator in the adapted frame, conjugated back
-to ambient coordinates.  Equivariance of the operators makes these fields
-frame-independent, hence smooth.  Like every sphere field, they are
-evaluated on batches of points.
+Test fields for the divergence identities are polynomials in the point q,
+built from constant ambient data without any frame: the invariant
+projection of the restriction of a 2-form, and endomorphism fields made of
+that form, a constant symmetric matrix, the tangent projector I - q q^T and
+J = q x .  Like every sphere field, they are evaluated on batches of points.
 """
 
 from __future__ import annotations
@@ -27,15 +26,12 @@ import numpy as np
 from su3forms.forms import Form, contract, wedge
 from su3forms.report import CheckResult, Ledger, VerificationReport, require_count
 from su3forms.structure import (
-    Endo,
     alpha_map,
     complex_structure,
-    decompose_three_form,
     lefschetz_contract,
     omega,
     psi_minus,
     psi_plus,
-    sym_plus_from_two_form,
     volume_form,
 )
 from su3forms import sphere as sp
@@ -53,7 +49,7 @@ _VOL = sp.frame_coeffs_from_form(volume_form(), 6)
 
 
 # Kernel operators on frame values, applied as sp.kernel_matrix(op, degree);
-# lefschetz_contract, alpha_map and sym_plus_from_two_form enter directly.
+# lefschetz_contract and alpha_map enter directly.
 
 
 def _j(x: Form) -> Form:
@@ -74,10 +70,6 @@ def _wedge_psi_plus(u: Form) -> Form:
 
 def _wedge_psi_minus(u: Form) -> Form:
     return wedge(u, psi_minus(u.mode))
-
-
-def _sym_minus_part(u: Form) -> Endo:
-    return decompose_three_form(u).s
 
 
 def _max_norm(v: np.ndarray) -> float:
@@ -315,7 +307,7 @@ def _severity(c: CheckResult) -> tuple:
 
 
 def verify_linearized_basis(
-    samples: int = 50, h: float = 1e-3, seed: int = 0, defect: str | None = None
+    samples: int = 50, h: float = 1e-3, seed: int = 0
 ) -> VerificationReport:
     """Aggregate of verify_linearized over the seven coordinate directions,
     on one set of frames: per check, the worst direction (a failing one
@@ -325,7 +317,7 @@ def verify_linearized_basis(
     frames = _frames(seed, samples)
     by_name: dict[str, list[CheckResult]] = {}
     for a in np.eye(7):
-        for c in _linearized_checks(a, frames, h, defect):
+        for c in _linearized_checks(a, frames, h, None):
             by_name.setdefault(c.name, []).append(c)
     checks = tuple(max(cs, key=_severity) for cs in by_name.values())
     return VerificationReport("linearized", h, samples, seed, (*checks, _span_check(seed)))
@@ -358,32 +350,32 @@ def invariant_two_form_field(
     return sp.FormField(2, ambient)
 
 
-def _endo_field(
-    form: Callable[[np.ndarray], np.ndarray], k: int, op: Callable,
-    selection: tuple[int, int],
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Ambient matrices of op applied to a k-form field in the adapted frame
-    from `selection`, conjugated back; equivariance of op makes them
-    independent of the frame."""
-
-    def ambient(q: np.ndarray) -> np.ndarray:
-        f = sp.adapted_frame(q, selection).matrix
-        m = sp.pullback_form(form(q), k, f) @ sp.kernel_matrix(op, k)
-        return f @ m.reshape(*m.shape[:-1], 6, 6) @ np.swapaxes(f, -1, -2)
-
-    return ambient
+def _tangent_projector(q: np.ndarray) -> np.ndarray:
+    """Matrices of I - q q^T, shape (..., 7) -> (..., 7, 7)."""
+    return np.eye(7) - q[..., :, None] * q[..., None, :]
 
 
-def _cl_fields(beta: np.ndarray, gamma: np.ndarray, selection: tuple[int, int]):
-    """Test fields of the divergence identities near a point with frame
-    selection `selection`: phi, the 2-form field cut out of beta; h with
-    phi = g(h J ., .); lambda = tr(h)/4; S, the Sym^- part of the constant
-    3-form gamma; and the form fields S . psi_plus and S . psi_minus."""
+def _cl_fields(beta: np.ndarray, a: np.ndarray):
+    """Test fields of the divergence identities, each a polynomial in q,
+    with P = I - q q^T and J = q x . : phi, the 2-form field cut out of
+    beta; h = -phi o J, so that phi = g(h J ., .); lambda = tr(h)/4;
+    S = (P A P + J A J)/2 for the symmetric part A of the (7, 7) matrix a,
+    symmetric, J-anticommuting and zero on q, so a section of Sym^-; and
+    the form fields S . psi_plus and S . psi_minus."""
     phif = invariant_two_form_field(beta)
-    h_amb = _endo_field(phif.ambient, 2, sym_plus_from_two_form, selection)
-    # the ambient matrix has zero normal block, so its trace is the frame trace
+    sym = (a + a.T) / 2
+
+    def h_amb(q: np.ndarray) -> np.ndarray:
+        # row x of the contraction is phi(e_x, .)
+        rows = sp.contract_ambient(np.eye(7), phif.ambient(q)[..., None, :], 2)
+        return _tangent_projector(q) @ rows @ sp.cross_matrix(q)
+
+    def s_amb(q: np.ndarray) -> np.ndarray:
+        p, j = _tangent_projector(q), sp.cross_matrix(q)
+        return (p @ sym @ p + j @ sym @ j) / 2
+
+    # h kills q and P removes its normal row, so its trace is the frame trace
     lam_field = sp.FormField(0, lambda q: np.trace(h_amb(q), axis1=-2, axis2=-1)[..., None] / 4)
-    s_amb = _endo_field(lambda q: gamma, 3, _sym_minus_part, selection)
     phi3 = sp.associative_three_form()
     s_pp = sp.FormField(3, lambda q: sp.endo_act_ambient(s_amb(q), phi3, 3))
     s_pm = sp.FormField(
@@ -397,7 +389,9 @@ def verify_cl_identities(
 ) -> VerificationReport:
     """Divergence identities for the invariant test fields.
 
-    Five identities on (phi, h, lambda) and (S, S . psi_plus, S . psi_minus):
+    Two sets of `_cl_fields`, from seeded (beta, a), are built once per run
+    and alternate over the sample points.  Five identities on
+    (phi, h, lambda) and (S, S . psi_plus, S . psi_minus):
       1. Lambda d(phi) = div(h) + 2 d(lambda)
       2. div(h) = -J (delta phi)
       3. delta(S . psi_plus) = -Lambda d(S . psi_minus) - 2 div(S) -| psi_plus
@@ -417,13 +411,12 @@ def verify_cl_identities(
     rng = random.Random(seed)
     n_fields = 2
     betas = [sp.standard_normals(rng, 21) for _ in range(n_fields)]
-    gammas = [sp.standard_normals(rng, 35) for _ in range(n_fields)]
+    mats = [sp.standard_normals(rng, 49).reshape(7, 7) for _ in range(n_fields)]
+    fields = [_cl_fields(beta, a) for beta, a in zip(betas, mats)]
 
     ledger = Ledger()
     for n, frame in enumerate(_frames(seed, samples)):
-        phif, h_amb, lam_field, s_amb, s_pp, s_pm = _cl_fields(
-            betas[n % n_fields], gammas[n % n_fields], frame.selection
-        )
+        phif, h_amb, lam_field, s_amb, s_pp, s_pm = fields[n % n_fields]
         for idx, step in enumerate((h, h / 2)):
             div_h = sp.divergence_endo(h_amb, frame, step)
             dlam = sp.ext_d(lam_field, frame, step)

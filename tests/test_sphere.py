@@ -20,6 +20,7 @@ from su3forms.structure import (
     omega,
     psi_minus,
     psi_plus,
+    sym_minus_residual,
     sym_plus_from_two_form,
     volume_form,
 )
@@ -38,6 +39,11 @@ POINTS = sp.random_points(7, 40)
 
 def max_abs(v: np.ndarray) -> float:
     return np.abs(v).max()
+
+
+def frame_form(u: np.ndarray, k: int) -> Form:
+    """Float kernel k-form with the frame coefficient vector u."""
+    return Form(FLOAT, {sum(1 << i for i in c): x for c, x in zip(sp.combos(6, k), u)})
 
 
 def test_cross_product_identities():
@@ -80,13 +86,6 @@ def test_structure_normal_forms():
         assert max_abs(sp.pullback_form(sp.omega_ambient(q), 2, f) - OM) < 1e-12
         assert max_abs(sp.pullback_form(sp.associative_three_form(), 3, f) - PP) < 1e-12
         assert max_abs(sp.pullback_form(sp.psi_minus_ambient(q), 3, f) - PM) < 1e-12
-
-
-def test_frame_selection_is_reusable():
-    q = POINTS[0]
-    frame = sp.adapted_frame(q)
-    again = sp.adapted_frame(q, frame.selection)
-    assert np.abs(frame.matrix - again.matrix).max() == 0.0
 
 
 def test_stencil_points_lie_on_the_sphere():
@@ -209,6 +208,15 @@ def test_codifferential_on_structure_forms():
         assert r < 1e-5
 
 
+def test_derivatives_past_the_degree_range_are_the_zero_form():
+    # delta of a function and d of a 6-form: length-0 frame vectors
+    q = POINTS[3]
+    function = sp.FormField(0, lambda p: p[..., :1])
+    top = sp.FormField(6, lambda p: np.ones((*p.shape[:-1], 7)))
+    assert sp.codifferential(function, q, 1e-3).shape == (0,)
+    assert sp.ext_d(top, q, 1e-3).shape == (0,)
+
+
 def test_deformation_bundle_matches_flat_jet():
     # restricting the bundle fields at a point reproduces the jet of the
     # parameters (xi_frame, 0, 0, mu) in the adapted frame
@@ -261,7 +269,7 @@ def test_codifferential_is_minus_star_d_star(name):
     # minus the trace of the covariant derivative and -*d* differ by
     # truncation error only, which shrinks at second order
     q = POINTS[5]
-    phif, _, _, _, s_pp, _ = _cl_fields(q)
+    phif, _, _, _, s_pp, _ = _cl_fields()
     rng = np.random.default_rng(67)
     primitive = suites.invariant_two_form_field(
         rng.standard_normal(21), rng.standard_normal((7, 21)), primitive=True
@@ -285,19 +293,17 @@ def _near(center: np.ndarray, n: int, seed: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _cl_fields(center: np.ndarray):
+def _cl_fields():
     rng = np.random.default_rng(41)
-    beta, gamma = rng.standard_normal(21), rng.standard_normal(35)
-    return suites._cl_fields(beta, gamma, sp.adapted_frame(center).selection)
+    return suites._cl_fields(rng.standard_normal(21), rng.standard_normal((7, 7)))
 
 
 def _suite_fields() -> dict:
     """Every field the suites build, by name: q -> ambient value."""
-    center = POINTS[5]
     rng = np.random.default_rng(37)
     bundle = sphere_deformation(rng.standard_normal(7))
     const, lin = rng.standard_normal(21), rng.standard_normal((7, 21))
-    phif, h_amb, lam, s_amb, s_pp, s_pm = _cl_fields(center)
+    phif, h_amb, lam, s_amb, s_pp, s_pm = _cl_fields()
     return {
         "omega": sp.omega_field().ambient,
         "psi_plus": sp.psi_plus_field().ambient,
@@ -328,13 +334,54 @@ def test_fields_evaluate_on_batches(name):
     assert np.abs(batched - singles).max() <= 1e-14
 
 
-def test_batched_adapted_frames_equal_single_frames():
-    selection = sp.adapted_frame(POINTS[6]).selection
-    batch = _near(POINTS[6], 4, 47)
-    frames = sp.adapted_frame(batch, selection)
-    assert frames.selection == selection and frames.matrix.shape == (4, 7, 6)
-    singles = np.stack([sp.adapted_frame(q, selection).matrix for q in batch])
-    assert np.abs(frames.matrix - singles).max() <= 1e-14
+def test_cl_endomorphism_fields_match_the_kernel():
+    # in the adapted frame h is the kernel's sym_plus_from_two_form of phi|T
+    # and S is symmetric and J-anticommuting; both kill the normal q
+    phif, h_amb, _, s_amb, _, _ = _cl_fields()
+    for q in POINTS[:8]:
+        f = sp.adapted_frame(q).matrix
+        phi = frame_form(sp.pullback_form(phif.ambient(q), 2, f), 2)
+        expected = np.array(sym_plus_from_two_form(phi).rows)
+        assert max_abs(f.T @ h_amb(q) @ f - expected) < 1e-12
+        assert sym_minus_residual(Endo(FLOAT, (f.T @ s_amb(q) @ f).tolist())) <= 1e-12
+        assert max_abs(h_amb(q) @ q) < 1e-14 and max_abs(s_amb(q) @ q) < 1e-14
+
+
+def _negated_h(cl_fields):
+    def patched(beta, a):
+        phif, h_amb, lam, s_amb, s_pp, s_pm = cl_fields(beta, a)
+        return phif, lambda q: -h_amb(q), lam, s_amb, s_pp, s_pm
+
+    return patched
+
+
+def _j_commuting_s(cl_fields):
+    # (P A P - J A J)/2 commutes with J, so it is no section of Sym^-
+    def patched(beta, a):
+        phif, h_amb, lam, _, _, _ = cl_fields(beta, a)
+        sym = (a + a.T) / 2
+
+        def s_amb(q):
+            p, j = suites._tangent_projector(q), sp.cross_matrix(q)
+            return (p @ sym @ p - j @ sym @ j) / 2
+
+        phi3 = sp.associative_three_form()
+        s_pp = sp.FormField(3, lambda q: sp.endo_act_ambient(s_amb(q), phi3, 3))
+        s_pm = sp.FormField(
+            3, lambda q: sp.endo_act_ambient(s_amb(q), sp.psi_minus_ambient(q), 3)
+        )
+        return phif, h_amb, lam, s_amb, s_pp, s_pm
+
+    return patched
+
+
+@pytest.mark.parametrize("defect", [_negated_h, _j_commuting_s])
+def test_cl_field_defect_is_caught(monkeypatch, defect):
+    assert verify_cl_identities(samples=2).all_passed
+    monkeypatch.setattr(suites, "_cl_fields", defect(suites._cl_fields))
+    report = verify_cl_identities(samples=2)
+    assert not report.all_passed
+    assert max(c.max_residual for c in report.checks) > 1.0
 
 
 def test_ambient_omega_trace_is_the_lefschetz_trace():
@@ -350,8 +397,8 @@ def test_ambient_omega_trace_is_the_lefschetz_trace():
 def test_divergence_endo_matches_per_direction_oracle():
     # relative bound: the 1/(2h) of the difference amplifies the roundoff of
     # the field values, and divergences reach 7 here
+    _, h_amb, _, s_amb, _, _ = _cl_fields()
     for q in POINTS[:4]:
-        _, h_amb, _, s_amb, _, _ = _cl_fields(q)
         frame = sp.adapted_frame(q).matrix
         for s in (h_amb, s_amb):
             expected = divergence_endo_oracle(s, q, 1e-3, frame)
@@ -368,7 +415,7 @@ def _operators(h: float = 1e-3) -> dict:
     evaluates."""
     center = POINTS[8]
     x = sp.adapted_frame(center).matrix @ np.random.default_rng(59).standard_normal(6)
-    _, h_amb, _, _, _, _ = _cl_fields(center)
+    _, h_amb, _, _, _, _ = _cl_fields()
     return {
         "ext_d": lambda w: sp.ext_d(sp.psi_minus_field(), w, h),
         "covariant_d": lambda w: sp.covariant_d(sp.omega_field(), x, w, h),
@@ -460,8 +507,7 @@ def test_endo_act_ambient_matches_kernel_on_a_hyperplane(k):
     u7 = sp.zero_coeffs(7, k)
     u7[six] = u6
     ambient = sp.endo_act_ambient(m7, u7, k)
-    u = Form(FLOAT, {sum(1 << i for i in c): x for c, x in zip(sp.combos(6, k), u6)})
-    kernel = coeffs(endo_act(Endo(FLOAT, a6.tolist()), u), k)
+    kernel = coeffs(endo_act(Endo(FLOAT, a6.tolist()), frame_form(u6, k)), k)
     assert np.abs(ambient[six] - kernel).max() < 1e-12
     assert np.abs(np.delete(ambient, six)).max() == 0.0
 
@@ -474,14 +520,12 @@ KERNEL_OPERATORS = [
     *((hodge_star, k) for k in range(7)),
     *((lefschetz_contract, k) for k in (2, 3, 4)),
     (alpha_map, 2),
-    (sym_plus_from_two_form, 2),
     (suites._j, 1),
     (suites._into_psi_plus, 1),
     (suites._wedge_omega, 1),
     (suites._wedge_omega, 2),
     (suites._wedge_psi_plus, 3),
     (suites._wedge_psi_minus, 3),
-    (suites._sym_minus_part, 3),
 ]
 
 
@@ -492,12 +536,9 @@ def test_kernel_matrix_applies_the_kernel_operator(op, k):
     rng = np.random.default_rng(31 + k)
     matrix = sp.kernel_matrix(op, k)
     for _ in range(3):
-        u = Form(FLOAT, {sum(1 << i for i in c): rng.standard_normal() for c in sp.combos(6, k)})
+        u = frame_form(rng.standard_normal(len(sp.combos(6, k))), k)
         image = op(u)
-        if isinstance(image, Form):
-            expected = coeffs(image, image.degree or 0)
-        else:
-            expected = np.array(image.flat())
+        expected = coeffs(image, image.degree or 0)
         assert expected.shape == (matrix.shape[1],)
         assert np.abs(coeffs(u, k) @ matrix - expected).max() < 1e-12
 
