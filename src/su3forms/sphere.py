@@ -247,17 +247,18 @@ def frame_coeffs_from_form(u: Form, k: int) -> np.ndarray:
 
 
 @cache
-def kernel_matrix(op: Callable, k: int) -> np.ndarray:
-    """Matrix of a linear operator of the six-dimensional kernel on k-forms.
+def kernel_matrix(op: Callable, k: int, k_out: int) -> np.ndarray:
+    """Matrix of a linear operator of the six-dimensional kernel from k-forms
+    to k_out-forms.
 
     Row i is the coefficient vector of op applied, in exact mode, to the
     i-th k-blade in lex order.  A frame value u maps to
-    u @ kernel_matrix(op, k).
+    u @ kernel_matrix(op, k, k_out).  An operator that vanishes on every
+    k-form has the zero matrix, with no columns if k_out is past 6.
     """
     images = [
         op(Form(EXACT, {sum(1 << i for i in c): 1})) for c in combos(6, k)
     ]
-    k_out = max(d for u in images for d in u.degrees)
     table = np.array([frame_coeffs_from_form(u, k_out) for u in images])
     table.setflags(write=False)
     return table

@@ -29,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from math import gcd
+from operator import add, sub
+from typing import Iterable, Sequence
 
 from su3forms.forms import (
     DIM,
@@ -67,21 +69,24 @@ class Endo:
 
     rows[i][j] is the i-th component of the image of e_{j+1}.  Immutable,
     same exact/float discipline as forms.
+
+    The 36 entries are stored row by row as numerators over one positive
+    denominator.  In exact mode these are ints in lowest terms (the gcd of
+    the denominator and every numerator is 1), so equal endos have equal
+    numerators and the arithmetic below runs on ints; in float mode they are
+    the floats themselves over 1.  `rows` builds the scalar view on first
+    access and keeps it.
     """
 
-    __slots__ = ("mode", "rows")
+    __slots__ = ("mode", "_nums", "_den", "_rows")
 
     def __init__(self, mode: str, rows: Sequence[Sequence]):
         if mode not in MODES:
             raise ModeError(f"unknown mode {mode!r}")
         if len(rows) != DIM or any(len(r) != DIM for r in rows):
             raise ValueError("Endo expects a 6x6 matrix")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(
-            self,
-            "rows",
-            tuple(tuple(coerce_scalar(x, mode) for x in row) for row in rows),
-        )
+        entries = [coerce_scalar(x, mode) for row in rows for x in row]
+        self._set(mode, *_numerators(entries, mode))
 
     @classmethod
     def _trusted(cls, mode: str, rows: Sequence[Sequence[Scalar]]) -> "Endo":
@@ -90,13 +95,42 @@ class Endo:
         Skips the validation and coercion of `__init__`; only for values
         computed from operands of the same mode.
         """
-        self = object.__new__(cls)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
+        entries = [x for row in rows for x in row]
+        return object.__new__(cls)._set(mode, *_numerators(entries, mode))
+
+    @classmethod
+    def _of(cls, mode: str, nums: Iterable[Scalar], den: int = 1) -> "Endo":
+        """Endo with the 36 row-major numerators nums over den, brought to
+        lowest terms in exact mode."""
+        nums = tuple(nums)
+        if mode == EXACT:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = tuple(n // g for n in nums)
+                den //= g
+        return object.__new__(cls)._set(mode, nums, den)
+
+    def _set(self, mode: str, nums: Iterable[Scalar], den: int) -> "Endo":
+        # numerators of reduced fractions over their least common denominator
+        # are already in lowest terms, so only `_of` has to reduce
+        for slot, value in zip(Endo.__slots__, (mode, tuple(nums), den, None)):
+            object.__setattr__(self, slot, value)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Endo is immutable")
+
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        rows = self._rows
+        if rows is None:
+            den = self._den
+            entries = (
+                self._nums if self.mode == FLOAT else [Fraction(n, den) for n in self._nums]
+            )
+            rows = tuple(tuple(entries[i : i + DIM]) for i in range(0, DIM * DIM, DIM))
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     @classmethod
     def zero(cls, mode: str) -> "Endo":
@@ -115,32 +149,36 @@ class Endo:
     def flat(self) -> tuple[Scalar, ...]:
         return tuple(x for row in self.rows for x in row)
 
-    def __add__(self, other: "Endo") -> "Endo":
+    def _combine(self, other: "Endo", op) -> "Endo":
+        """Entrywise op(self, other) for op `add` or `sub`."""
         if not isinstance(other, Endo):
             return NotImplemented
         if self.mode != other.mode:
             raise ModeError(f"cannot combine {self.mode} and {other.mode} endos")
-        return Endo._trusted(
-            self.mode,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
+        da, db = self._den, other._den
+        if da == db:
+            return Endo._of(self.mode, map(op, self._nums, other._nums), da)
+        den = da // gcd(da, db) * db
+        ka, kb = den // da, den // db
+        return Endo._of(
+            self.mode, [op(ka * a, kb * b) for a, b in zip(self._nums, other._nums)], den
         )
+
+    def __add__(self, other: "Endo") -> "Endo":
+        return self._combine(other, add)
 
     def __sub__(self, other: "Endo") -> "Endo":
-        if not isinstance(other, Endo):
-            return NotImplemented
-        if self.mode != other.mode:
-            raise ModeError(f"cannot combine {self.mode} and {other.mode} endos")
-        return Endo._trusted(
-            self.mode,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        return self._combine(other, sub)
 
     def __neg__(self) -> "Endo":
-        return Endo._trusted(self.mode, [[-x for x in row] for row in self.rows])
+        return Endo._of(self.mode, [-x for x in self._nums], self._den)
 
     def scale(self, value) -> "Endo":
         v = coerce_scalar(value, self.mode)
-        return Endo._trusted(self.mode, [[v * x for x in row] for row in self.rows])
+        if self.mode == FLOAT:
+            return Endo._of(FLOAT, [v * x for x in self._nums])
+        p, q = v.as_integer_ratio()
+        return Endo._of(EXACT, [p * x for x in self._nums], q * self._den)
 
     def __mul__(self, value) -> "Endo":
         return self.scale(value)
@@ -152,17 +190,23 @@ class Endo:
             return NotImplemented
         if self.mode != other.mode:
             raise ModeError(f"cannot combine {self.mode} and {other.mode} endos")
-        zero = scalar_zero(self.mode)
-        cols = tuple(zip(*other.rows))
-        return Endo._trusted(
-            self.mode, [[_dot(row, col, zero) for col in cols] for row in self.rows]
-        )
+        zero = 0.0 if self.mode == FLOAT else 0
+        a, b = self._nums, other._nums
+        cols = [b[j::DIM] for j in range(DIM)]
+        nums = [
+            _dot(a[i : i + DIM], col, zero) for i in range(0, DIM * DIM, DIM) for col in cols
+        ]
+        return Endo._of(self.mode, nums, self._den * other._den)
 
     def transpose(self) -> "Endo":
-        return Endo._trusted(self.mode, zip(*self.rows))
+        nums = self._nums
+        return Endo._of(self.mode, [x for j in range(DIM) for x in nums[j::DIM]], self._den)
 
     def trace(self) -> Scalar:
-        return sum((self.rows[i][i] for i in range(DIM)), scalar_zero(self.mode))
+        diag = self._nums[:: DIM + 1]
+        if self.mode == FLOAT:
+            return sum(diag, 0.0)
+        return Fraction(sum(diag), self._den)
 
     def sym_part(self) -> "Endo":
         return (self + self.transpose()).scale(Fraction(1, 2))
@@ -181,13 +225,15 @@ class Endo:
         )
 
     def max_norm(self) -> Scalar:
-        return _max_abs(self.flat(), self.mode)
+        if self.mode == FLOAT:
+            return _max_abs(self._nums, FLOAT)
+        return Fraction(max(map(abs, self._nums)), self._den)
 
     def isclose(self, other: "Endo", tol: float = 1e-12) -> bool:
         if self.mode != other.mode:
             raise ModeError(f"cannot compare {self.mode} and {other.mode} endos")
         if self.mode == EXACT:
-            return self.rows == other.rows
+            return self._den == other._den and self._nums == other._nums
         return (self - other).max_norm() <= tol
 
     def __eq__(self, other) -> bool:
@@ -205,7 +251,9 @@ class Endo:
     def to_float(self) -> "Endo":
         if self.mode == FLOAT:
             return self
-        return Endo._trusted(FLOAT, [[float(x) for x in row] for row in self.rows])
+        # int / int rounds correctly, as float(Fraction) does
+        den = self._den
+        return Endo._of(FLOAT, [x / den for x in self._nums])
 
 
 def _numerator_rows(
@@ -316,10 +364,10 @@ def endo_act(a: Endo, u: Form) -> Form:
     if a.mode != u.mode:
         raise ModeError(f"cannot act with {a.mode} endo on {u.mode} form")
     nu, du = _form_numerators(u)
-    rows, da = _numerator_rows(a.rows, a.mode)
+    nums, da = a._nums, a._den
     out: dict[int, Scalar] = {}
-    for i, row in enumerate(rows):
-        row_terms = {1 << j: x for j, x in enumerate(row) if x}
+    for i in range(DIM):
+        row_terms = {1 << j: x for j, x in enumerate(nums[i * DIM : (i + 1) * DIM]) if x}
         terms = _wedge_sums(row_terms, _contract_basis_terms(i, nu))
         _add_into(out, ((m, v) for m, v in terms.items() if v))
     return _from_numerators(u.mode, {m: -v for m, v in out.items()}, da * du)

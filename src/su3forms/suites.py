@@ -48,7 +48,7 @@ _OM2 = sp.frame_coeffs_from_form(wedge(omega(), omega()), 4)
 _VOL = sp.frame_coeffs_from_form(volume_form(), 6)
 
 
-# Kernel operators on frame values, applied as sp.kernel_matrix(op, degree);
+# Kernel operators on frame values, applied as sp.kernel_matrix(op, k, k_out);
 # lefschetz_contract and alpha_map enter directly.
 
 
@@ -113,8 +113,8 @@ def verify_gray(
         x = f @ sp.standard_normals(rng, 6)
         x /= np.linalg.norm(x)
         xf = f.T @ x
-        x_pp = xf @ sp.kernel_matrix(_into_psi_plus, 1)
-        x_om = xf @ sp.kernel_matrix(_wedge_omega, 1)
+        x_pp = xf @ sp.kernel_matrix(_into_psi_plus, 1, 2)
+        x_om = xf @ sp.kernel_matrix(_wedge_omega, 1, 3)
         for idx, step in enumerate((h, h / 2)):
             ledger.add("d_omega_vs_psi_plus",
                        _max_norm(sp.ext_d(ofield, frame, step) - 3.0 * _PP), idx)
@@ -257,7 +257,7 @@ def _linearized_checks(
         p, f = frame.point, frame.matrix
         ppd_p = sp.pullback_form(pp_dot.ambient(p), 3, f)
         od_p = sp.pullback_form(bundle.omega_dot.ambient(p), 2, f)
-        od_om = od_p @ sp.kernel_matrix(_wedge_omega, 2)
+        od_om = od_p @ sp.kernel_matrix(_wedge_omega, 2, 4)
         # (check, field, its claimed exterior derivative), in name order
         identities = (
             ("d_omega_dot_vs_psi_plus_dot", bundle.omega_dot, 3.0 * ppd_p),
@@ -420,24 +420,24 @@ def verify_cl_identities(
         for idx, step in enumerate((h, h / 2)):
             div_h = sp.divergence_endo(h_amb, frame, step)
             dlam = sp.ext_d(lam_field, frame, step)
-            lhs1 = sp.ext_d(phif, frame, step) @ sp.kernel_matrix(lefschetz_contract, 3)
+            lhs1 = sp.ext_d(phif, frame, step) @ sp.kernel_matrix(lefschetz_contract, 3, 1)
             ledger.add("lefschetz_d_phi_vs_divergence",
                        _max_norm(lhs1 - (div_h + 2.0 * dlam)), idx)
 
             dphi = sp.codifferential(phif, frame, step)
             ledger.add("divergence_h_vs_j_delta_phi",
-                       _max_norm(div_h + dphi @ sp.kernel_matrix(_j, 1)), idx)
+                       _max_norm(div_h + dphi @ sp.kernel_matrix(_j, 1, 1)), idx)
 
             div_s = sp.divergence_endo(s_amb, frame, step)
             delta_spp = sp.codifferential(s_pp, frame, step)
-            lam_d_spm = sp.ext_d(s_pm, frame, step) @ sp.kernel_matrix(lefschetz_contract, 4)
-            rhs3 = -lam_d_spm - 2.0 * (div_s @ sp.kernel_matrix(_into_psi_plus, 1))
+            lam_d_spm = sp.ext_d(s_pm, frame, step) @ sp.kernel_matrix(lefschetz_contract, 4, 2)
+            rhs3 = -lam_d_spm - 2.0 * (div_s @ sp.kernel_matrix(_into_psi_plus, 1, 2))
             ledger.add("delta_s_psi_plus_identity", _max_norm(delta_spp - rhs3), idx)
-            alpha = lam_d_spm @ sp.kernel_matrix(alpha_map, 2)
+            alpha = lam_d_spm @ sp.kernel_matrix(alpha_map, 2, 1)
             ledger.add("alpha_lefschetz_vs_divergence_s",
                        _max_norm(alpha + 2.0 * div_s), idx)
             ledger.add("lefschetz_delta_s_psi_plus",
-                       _max_norm(delta_spp @ sp.kernel_matrix(lefschetz_contract, 2)), idx)
+                       _max_norm(delta_spp @ sp.kernel_matrix(lefschetz_contract, 2, 0)), idx)
 
     n_gate = max(2, samples // 10)
     # the family's unit coefficients: constant parts, then each (m, i) entry of lin
@@ -456,11 +456,11 @@ def verify_cl_identities(
             ledger.add("coclosed_gate", np.linalg.norm(sp.codifferential(field, frame, h)))
             dphi0 = sp.ext_d(field, frame, h)
             ledger.add("coclosed_d_phi_wedge_psi_plus",
-                       _max_norm(dphi0 @ sp.kernel_matrix(_wedge_psi_plus, 3)))
+                       _max_norm(dphi0 @ sp.kernel_matrix(_wedge_psi_plus, 3, 6)))
             ledger.add("coclosed_d_phi_wedge_psi_minus",
-                       _max_norm(dphi0 @ sp.kernel_matrix(_wedge_psi_minus, 3)))
+                       _max_norm(dphi0 @ sp.kernel_matrix(_wedge_psi_minus, 3, 6)))
             ledger.add("coclosed_d_phi_lefschetz",
-                       _max_norm(dphi0 @ sp.kernel_matrix(lefschetz_contract, 3)))
+                       _max_norm(dphi0 @ sp.kernel_matrix(lefschetz_contract, 3, 1)))
 
     checks = tuple(
         ledger.result(name, CL_TOL, order=(0, 1))

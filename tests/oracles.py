@@ -112,6 +112,24 @@ def matmul_oracle(a, b) -> list[list]:
     ]
 
 
+def entrywise_oracle(op, *matrices) -> list[list]:
+    """op applied entry by entry to matrices of one shape given as row lists."""
+    return [[op(*entries) for entries in zip(*rows)] for rows in zip(*matrices)]
+
+
+def transpose_oracle(a) -> list[list]:
+    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
+
+
+def trace_oracle(a) -> object:
+    return sum(a[i][i] for i in range(len(a)))
+
+
+def matvec_oracle(a, x) -> list:
+    """Matrix times column vector as the textbook nested sum."""
+    return [sum(a[i][k] * x[k] for k in range(len(x))) for i in range(len(a))]
+
+
 def divergence_endo_oracle(s, p, h: float, frame):
     """-sum_i (nabla_{f_i} S)(f_i), one direction and one point at a time.
 

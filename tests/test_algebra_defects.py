@@ -3,7 +3,10 @@
 Each defect corrupts one table the kernel reads: an entry of the wedge sign
 table, the matrix of J, an entry of the e_i -| psi_plus table behind alpha,
 the (2,0) projection and the S part of a 3-form, or the psi lines of the
-(3,0) projection.  A wrong eigenvalue of the squared J action corrupts the
+(3,0) projection.  Others corrupt one step of the integer arithmetic of
+`Endo`, which keeps 36 numerators over one denominator: a transpose that
+leaves the entries in place, a product over the wrong denominator, a trace
+that forgets the denominator.  A wrong eigenvalue of the squared J action corrupts the
 expectation of `type_projector_algebra` instead; `TYPE_EIGENVALUES` feeds
 nothing else but the (p,q) check of `type_project`.  The caches are cleared,
 the defect is patched in, and a named identity must then fail while it
@@ -20,6 +23,7 @@ import pytest
 
 from su3forms import forms, identities, structure
 from su3forms.identities import run_algebra_suite
+from su3forms.structure import Endo
 
 #: modules whose functools caches hold values derived from the kernel tables
 FLAT_MODULES = ("forms", "structure", "sampling", "identities", "deformation")
@@ -98,6 +102,38 @@ def test_dropped_psi_minus_line_is_caught(fresh_caches, monkeypatch):
     _assert_caught(
         "type_projector_algebra",
         lambda: monkeypatch.setattr(structure, "_PSI_LINES", structure._PSI_LINES[:1]),
+    )
+
+
+def test_untransposed_endo_is_caught(fresh_caches, monkeypatch):
+    _assert_caught(
+        "anti_endo_round_trip",
+        lambda: monkeypatch.setattr(Endo, "transpose", lambda self: self),
+    )
+
+
+def _product_over_one_denominator(self: Endo, other: Endo) -> Endo:
+    nums = [
+        sum(x * y for x, y in zip(self._nums[i : i + 6], other._nums[j::6]))
+        for i in range(0, 36, 6)
+        for j in range(6)
+    ]
+    return Endo._of(self.mode, nums, self._den)
+
+
+def test_product_over_the_wrong_denominator_is_caught(fresh_caches, monkeypatch):
+    _assert_caught(
+        "su3_invariance",
+        lambda: monkeypatch.setattr(Endo, "__matmul__", _product_over_one_denominator),
+    )
+
+
+def test_trace_without_its_denominator_is_caught(fresh_caches, monkeypatch):
+    _assert_caught(
+        "sym_plus_action_trace",
+        lambda: monkeypatch.setattr(
+            Endo, "trace", lambda self: Fraction(sum(self._nums[::7]))
+        ),
     )
 
 

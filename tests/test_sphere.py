@@ -253,7 +253,7 @@ def test_ambient_star_is_the_kernel_star_in_the_adapted_frame():
         for k in range(7):
             beta = rng.standard_normal(len(sp.combos(7, k)))
             starred = sp.pullback_form(_ambient_star(q, beta, k), 6 - k, f)
-            expected = sp.pullback_form(beta, k, f) @ sp.kernel_matrix(hodge_star, k)
+            expected = sp.pullback_form(beta, k, f) @ sp.kernel_matrix(hodge_star, k, 6 - k)
             assert max_abs(starred - expected) < 1e-14
 
 
@@ -261,7 +261,7 @@ def _codifferential_oracle(field: sp.FormField, q: np.ndarray, h: float) -> np.n
     # -*d* through the ambient star, differentiated by ext_d
     k = field.degree
     starred = sp.FormField(6 - k, lambda p: _ambient_star(p, field.ambient(p), k))
-    return -(sp.ext_d(starred, q, h) @ sp.kernel_matrix(hodge_star, 7 - k))
+    return -(sp.ext_d(starred, q, h) @ sp.kernel_matrix(hodge_star, 7 - k, k - 1))
 
 
 @pytest.mark.parametrize("name", ["phi", "S_psi_plus", "primitive_two_form"])
@@ -390,7 +390,7 @@ def test_ambient_omega_trace_is_the_lefschetz_trace():
     for q in POINTS[:8]:
         beta = rng.standard_normal(21)
         restricted = sp.pullback_form(beta, 2, sp.adapted_frame(q).matrix)
-        lefschetz = (restricted @ sp.kernel_matrix(lefschetz_contract, 2))[0]
+        lefschetz = (restricted @ sp.kernel_matrix(lefschetz_contract, 2, 0))[0]
         assert abs(beta @ sp.omega_ambient(q) - lefschetz) < 1e-12
 
 
@@ -517,30 +517,38 @@ def test_endo_act_ambient_matches_kernel_on_a_hyperplane(k):
 
 
 KERNEL_OPERATORS = [
-    *((hodge_star, k) for k in range(7)),
-    *((lefschetz_contract, k) for k in (2, 3, 4)),
-    (alpha_map, 2),
-    (suites._j, 1),
-    (suites._into_psi_plus, 1),
-    (suites._wedge_omega, 1),
-    (suites._wedge_omega, 2),
-    (suites._wedge_psi_plus, 3),
-    (suites._wedge_psi_minus, 3),
+    *((hodge_star, k, 6 - k) for k in range(7)),
+    *((lefschetz_contract, k, k - 2) for k in (2, 3, 4)),
+    (alpha_map, 2, 1),
+    (suites._j, 1, 1),
+    (suites._into_psi_plus, 1, 2),
+    (suites._wedge_omega, 1, 3),
+    (suites._wedge_omega, 2, 4),
+    (suites._wedge_psi_plus, 3, 6),
+    (suites._wedge_psi_minus, 3, 6),
 ]
 
 
 @pytest.mark.parametrize(
-    "op, k", KERNEL_OPERATORS, ids=[f"{op.__name__}-{k}" for op, k in KERNEL_OPERATORS]
+    "op, k, k_out",
+    KERNEL_OPERATORS,
+    ids=[f"{op.__name__}-{k}" for op, k, _ in KERNEL_OPERATORS],
 )
-def test_kernel_matrix_applies_the_kernel_operator(op, k):
+def test_kernel_matrix_applies_the_kernel_operator(op, k, k_out):
     rng = np.random.default_rng(31 + k)
-    matrix = sp.kernel_matrix(op, k)
+    matrix = sp.kernel_matrix(op, k, k_out)
     for _ in range(3):
         u = frame_form(rng.standard_normal(len(sp.combos(6, k))), k)
         image = op(u)
-        expected = coeffs(image, image.degree or 0)
-        assert expected.shape == (matrix.shape[1],)
-        assert np.abs(coeffs(u, k) @ matrix - expected).max() < 1e-12
+        assert image.degree == k_out
+        assert np.abs(coeffs(u, k) @ matrix - coeffs(image, k_out)).max() < 1e-12
+
+
+def test_kernel_matrix_of_an_operator_vanishing_on_its_degree():
+    # psi_plus ^ (4-form) is a 7-form, and R^6 has none
+    matrix = sp.kernel_matrix(suites._wedge_psi_plus, 4, 7)
+    assert matrix.shape == (15, 0)
+    assert not matrix.any()
 
 
 def _clear_sphere_caches() -> None:

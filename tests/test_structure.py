@@ -5,19 +5,30 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import add, neg, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import forms_of_degree, rationals, vectors
-from oracles import evaluate_oracle, matmul_oracle, sym_minus_basis_oracle
+from oracles import (
+    entrywise_oracle,
+    evaluate_oracle,
+    matmul_oracle,
+    matvec_oracle,
+    sym_minus_basis_oracle,
+    trace_oracle,
+    transpose_oracle,
+)
 from su3forms.forms import (
     DIM,
     EXACT,
     FLOAT,
+    MODES,
     DecompositionError,
     Form,
+    ModeError,
     contract,
     evaluate,
     hodge_star,
@@ -503,6 +514,81 @@ def test_endo_matmul_matches_nested_sum_oracle(data):
     expected = matmul_oracle(a.rows, b.rows)
     assert (a @ b) == Endo(EXACT, expected)
     assert (a.to_float() @ b.to_float()).isclose(Endo(FLOAT, expected), tol=1e-9)
+
+
+def _entry(rng: random.Random, mode: str):
+    # one entry in seven is zero
+    if mode == EXACT:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return rng.randint(-3, 3) * rng.random()
+
+
+def _matrix(rng: random.Random, mode: str) -> list[list]:
+    return [[_entry(rng, mode) for _ in range(DIM)] for _ in range(DIM)]
+
+
+def _as_rows(matrix) -> tuple[tuple, ...]:
+    return tuple(map(tuple, matrix))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(seed=st.integers(0, 10**6))
+def test_endo_arithmetic_matches_nested_list_oracles(mode, seed):
+    rng = random.Random(seed)
+    ra, rb = _matrix(rng, mode), _matrix(rng, mode)
+    c, x = _entry(rng, mode), [_entry(rng, mode) for _ in range(DIM)]
+    a, b = Endo(mode, ra), Endo(mode, rb)
+    scalar = Fraction if mode == EXACT else float
+    assert a.rows == _as_rows(ra)
+    assert all(type(v) is scalar for row in (a + b).rows for v in row)
+    # entrywise results are the oracle's own scalars, in float mode too
+    for got, expected in (
+        (a + b, entrywise_oracle(add, ra, rb)),
+        (a - b, entrywise_oracle(sub, ra, rb)),
+        (-a, entrywise_oracle(neg, ra)),
+        (a.scale(c), entrywise_oracle(lambda v: c * v, ra)),
+        (a.transpose(), transpose_oracle(ra)),
+    ):
+        assert got.rows == _as_rows(expected)
+        assert got == Endo(mode, expected)
+    image = a.apply(Form.vector(x, mode)).components()
+    if mode == EXACT:
+        assert a.trace() == trace_oracle(ra)
+        assert image == matvec_oracle(ra, x)
+        assert (a == b) == (ra == rb)
+        assert a.to_float().rows == _as_rows(entrywise_oracle(float, ra))
+    else:
+        assert abs(a.trace() - trace_oracle(ra)) <= 1e-12
+        assert max(abs(u - v) for u, v in zip(image, matvec_oracle(ra, x))) <= 1e-12
+        gap = max(abs(u - v) for ru, rv in zip(ra, rb) for u, v in zip(ru, rv))
+        assert (a == b) == (gap <= 1e-12)
+        assert a.to_float() is a
+
+
+@given(seed=st.integers(0, 10**6))
+def test_exact_endo_arithmetic_keeps_lowest_terms(seed):
+    a = Endo(EXACT, _matrix(random.Random(seed), EXACT))
+    back = a.scale(2).scale(Fraction(1, 2))
+    assert back == a and back.rows == a.rows
+    third = a.scale(Fraction(1, 3))
+    assert a - a == Endo.zero(EXACT)
+    assert third - third == Endo.zero(EXACT)
+    assert (third - third).rows == Endo.zero(EXACT).rows
+    # operands over different denominators: 1/6 + 1/3 = 1/2
+    assert a.scale(Fraction(1, 6)) + third == a.scale(Fraction(1, 2))
+    assert (a @ Endo.identity(EXACT).scale(3)).scale(Fraction(1, 3)) == a
+
+
+def test_endo_modes_never_mix():
+    exact, flt = Endo.identity(EXACT), Endo.identity(FLOAT)
+    for op in (add, sub, lambda u, v: u @ v, lambda u, v: u.isclose(v)):
+        with pytest.raises(ModeError):
+            op(exact, flt)
+    with pytest.raises(ModeError):
+        exact.scale(0.5)
+    assert exact != flt
+    assert flt.scale(1 + 1e-13) == flt
+    assert flt.scale(1 + 1e-11) != flt
 
 
 def test_anti_endo_decomposition_rejects_j_commuting_part():
