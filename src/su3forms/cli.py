@@ -220,11 +220,11 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--kind", choices=("2form", "3form", "endo"), required=True)
 
     s6 = sub.add_parser("verify-s6", help="finite-difference sphere suites")
-    s6.add_argument("--suite", choices=S6_SUITES, default="all")
+    s6.add_argument("--suite", choices=S6_SUITES, help="default: all")
     s6.add_argument("--samples", type=int, default=50)
     s6.add_argument("--h", type=float, default=1e-3)
     s6.add_argument("--seed", type=int, default=0)
-    s6.add_argument("--deform", help="single deformation direction, e.g. a=e7")
+    s6.add_argument("--deform", help="one linearized direction alone, e.g. a=e7")
     s6.add_argument("--out", help="write the JSON report here")
 
     return parser
@@ -246,8 +246,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "decompose":
         return cmd_decompose(args.kind)
 
+    if args.deform is not None and args.suite not in (None, "linearized"):
+        parser.error(f"--deform runs the linearized suite, not --suite {args.suite}")
     cfg = SuiteConfig(
-        suite=args.suite, seed=args.seed, mode=FLOAT,
+        suite=args.suite or "all", seed=args.seed, mode=FLOAT,
         h=args.h, samples=args.samples, out=args.out,
     )
     if (msg := cfg.problem()):

@@ -37,6 +37,7 @@ from su3forms.structure import (
     complex_structure,
     decompose_anti_endo,
     endo_act,
+    endo_from_two_form,
     gate_fails,
     j_compose_left,
     j_compose_right,
@@ -49,6 +50,12 @@ from su3forms.structure import (
     type_project,
     vector_cross_endo,
 )
+
+
+class InvalidParamsError(AlgebraError, ValueError):
+    """Deformation parameters outside their modules: non-finite xi or mu, an
+    S that is not symmetric J-anticommuting, or a phi that is not
+    J-invariant.  An `AlgebraError`, so a suite records a failed check."""
 
 
 class InconsistentJetError(AlgebraError):
@@ -97,13 +104,13 @@ class DeformationParams:
             raise DegreeError("phi must be a 2-form")
         values = (*self.xi.components(), self.mu)
         if self.mode == FLOAT and not all(map(isfinite, values)):
-            raise ValueError(f"xi and mu must be finite: xi {self.xi}, mu {self.mu}")
+            raise InvalidParamsError(f"xi and mu must be finite: xi {self.xi}, mu {self.mu}")
         s_err = sym_minus_residual(self.s)
         if gate_fails(s_err, self.mode):
-            raise ValueError(f"S is not symmetric J-anticommuting: residual {s_err}")
+            raise InvalidParamsError(f"S is not symmetric J-anticommuting: residual {s_err}")
         phi_err = (self.phi - type_project(self.phi, 1, 1)).max_norm()
         if gate_fails(phi_err, self.mode):
-            raise ValueError(f"phi is not J-invariant: residual {phi_err}")
+            raise InvalidParamsError(f"phi is not J-invariant: residual {phi_err}")
 
     @classmethod
     def zero(cls, mode: str) -> "DeformationParams":
@@ -235,6 +242,8 @@ def check_jet_consistency(jet: SU3Jet) -> dict[str, Scalar]:
     - g_dot_symmetric: g_dot - g_dot^T
     - xi_coherence: Lambda psi_plus_dot + alpha(omega_dot), the two
       extractions of xi agreeing
+    - metric_compatibility: omega_dot - (g_dot J + J_dot) as endomorphisms,
+      the derivative of omega = g(J., .)
     """
     mode = jet.mode
     j = complex_structure(mode)
@@ -245,12 +254,14 @@ def check_jet_consistency(jet: SU3Jet) -> dict[str, Scalar]:
     anti_res = (j_compose_right(jet.j_dot) + j_compose_left(jet.j_dot)).max_norm()
     sym_res = (jet.g_dot - jet.g_dot.transpose()).max_norm()
     xi_res = (lefschetz_contract(jet.psi_plus_dot) + alpha_map(jet.omega_dot)).max_norm()
+    metric_res = endo_from_two_form(jet.omega_dot) - (j_compose_right(jet.g_dot) + jet.j_dot)
     return {
         "wedge_constraint": wedge_res.max_norm(),
         "norm_constraint": norm_res,
         "j_dot_anticommutes": anti_res,
         "g_dot_symmetric": sym_res,
         "xi_coherence": xi_res,
+        "metric_compatibility": metric_res.max_norm(),
     }
 
 

@@ -56,7 +56,6 @@ from su3forms.forms import (
     contract,
     hodge_star,
     inner,
-    scalar_zero,
     wedge,
 )
 
@@ -71,14 +70,14 @@ class Endo:
     same exact/float discipline as forms.
 
     The 36 entries are stored row by row as numerators over one positive
-    denominator.  In exact mode these are ints in lowest terms (the gcd of
-    the denominator and every numerator is 1), so equal endos have equal
-    numerators and the arithmetic below runs on ints; in float mode they are
-    the floats themselves over 1.  `rows` builds the scalar view on first
-    access and keeps it.
+    denominator, and this is the only representation.  In exact mode these
+    are ints in lowest terms (the gcd of the denominator and every numerator
+    is 1), so equal endos have equal numerators and the arithmetic below
+    runs on ints; in float mode they are the floats themselves over 1.
+    `flat` and `rows` build the scalar view on each access.
     """
 
-    __slots__ = ("mode", "_nums", "_den", "_rows")
+    __slots__ = ("mode", "_nums", "_den")
 
     def __init__(self, mode: str, rows: Sequence[Sequence]):
         if mode not in MODES:
@@ -113,7 +112,7 @@ class Endo:
     def _set(self, mode: str, nums: Iterable[Scalar], den: int) -> "Endo":
         # numerators of reduced fractions over their least common denominator
         # are already in lowest terms, so only `_of` has to reduce
-        for slot, value in zip(Endo.__slots__, (mode, tuple(nums), den, None)):
+        for slot, value in zip(Endo.__slots__, (mode, tuple(nums), den)):
             object.__setattr__(self, slot, value)
         return self
 
@@ -122,15 +121,8 @@ class Endo:
 
     @property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        rows = self._rows
-        if rows is None:
-            den = self._den
-            entries = (
-                self._nums if self.mode == FLOAT else [Fraction(n, den) for n in self._nums]
-            )
-            rows = tuple(tuple(entries[i : i + DIM]) for i in range(0, DIM * DIM, DIM))
-            object.__setattr__(self, "_rows", rows)
-        return rows
+        entries = self.flat()
+        return tuple(entries[i : i + DIM] for i in range(0, DIM * DIM, DIM))
 
     @classmethod
     def zero(cls, mode: str) -> "Endo":
@@ -147,7 +139,11 @@ class Endo:
         return cls(mode, [values[i * DIM : (i + 1) * DIM] for i in range(DIM)])
 
     def flat(self) -> tuple[Scalar, ...]:
-        return tuple(x for row in self.rows for x in row)
+        """The 36 entries row by row, as scalars of the mode."""
+        if self.mode == FLOAT:
+            return self._nums
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._nums)
 
     def _combine(self, other: "Endo", op) -> "Endo":
         """Entrywise op(self, other) for op `add` or `sub`."""
@@ -218,11 +214,13 @@ class Endo:
         """Image of a degree-1 form under the endomorphism."""
         if x.mode != self.mode:
             raise ModeError(f"cannot apply {self.mode} endo to {x.mode} form")
-        comps = x.components()
-        zero = scalar_zero(self.mode)
-        return Form._trusted(
-            self.mode, {1 << i: _dot(row, comps, zero) for i, row in enumerate(self.rows)}
-        )
+        comps, den = _numerators(x.components(), self.mode)
+        zero = 0.0 if self.mode == FLOAT else 0
+        nums = self._nums
+        images = {
+            1 << i: _dot(nums[i * DIM : (i + 1) * DIM], comps, zero) for i in range(DIM)
+        }
+        return _from_numerators(self.mode, images, self._den * den)
 
     def max_norm(self) -> Scalar:
         if self.mode == FLOAT:
@@ -254,18 +252,6 @@ class Endo:
         # int / int rounds correctly, as float(Fraction) does
         den = self._den
         return Endo._of(FLOAT, [x / den for x in self._nums])
-
-
-def _numerator_rows(
-    rows: Sequence[Sequence[Scalar]], mode: str
-) -> tuple[tuple[tuple[Scalar, ...], ...], int]:
-    """`forms._numerators` of a table of scalars, over one shared denominator."""
-    flat, den = _numerators([x for row in rows for x in row], mode)
-    out, start = [], 0
-    for row in rows:
-        out.append(tuple(flat[start : start + len(row)]))
-        start += len(row)
-    return tuple(out), den
 
 
 def _dot(xs: Sequence[Scalar], ys: Sequence[Scalar], zero: Scalar) -> Scalar:
@@ -481,22 +467,24 @@ def vector_cross_endo(xi: Form, three_form: Form | None = None) -> Endo:
 
 def two_form_from_endo(f: Endo) -> Form:
     """The 2-form a(X, Y) = g(FX, Y) of a skew endomorphism F."""
-    coeffs = {}
-    for x in range(DIM):
-        for y in range(x + 1, DIM):
-            coeffs[(1 << x) | (1 << y)] = f.rows[y][x]
-    return Form._trusted(f.mode, coeffs)
+    nums = f._nums
+    coeffs = {
+        (1 << x) | (1 << y): nums[y * DIM + x] for x in range(DIM) for y in range(x + 1, DIM)
+    }
+    return _from_numerators(f.mode, coeffs, f._den)
 
 
 def endo_from_two_form(a: Form) -> Endo:
     """Inverse of `two_form_from_endo` on 2-forms."""
-    rows = [[scalar_zero(a.mode)] * DIM for _ in range(DIM)]
+    coeffs, den = _form_numerators(a)
+    zero = 0.0 if a.mode == FLOAT else 0
+    nums = [zero] * (DIM * DIM)
     for x in range(DIM):
         for y in range(x + 1, DIM):
-            c = a.coeff((1 << x) | (1 << y))
-            rows[y][x] = c
-            rows[x][y] = -c
-    return Endo._trusted(a.mode, rows)
+            c = coeffs.get((1 << x) | (1 << y), zero)
+            nums[y * DIM + x] = c
+            nums[x * DIM + y] = -c
+    return Endo._of(a.mode, nums, den)
 
 
 def two_form_from_sym_plus(h: Endo) -> Form:
@@ -537,38 +525,33 @@ def sym_minus_basis(mode: str = EXACT) -> tuple[Endo, ...]:
     return tuple(basis)
 
 
-@cache
-def _sym_minus_basis_numerators(mode: str) -> tuple[tuple[tuple[Scalar, ...], ...], int]:
-    return _numerator_rows([b.flat() for b in sym_minus_basis(mode)], mode)
-
-
 def sym_minus_combination(coeffs: Sequence, mode: str = EXACT) -> Endo:
     """The endomorphism sum_i coeffs[i] B_i over `sym_minus_basis(mode)`."""
-    nums, d_coeffs = _numerators([coerce_scalar(c, mode) for c in coeffs], mode)
-    basis, d_basis = _sym_minus_basis_numerators(mode)
+    nums, den = _numerators([coerce_scalar(c, mode) for c in coeffs], mode)
+    basis = sym_minus_basis(mode)
     if len(nums) != len(basis):
         raise ValueError(f"expected {len(basis)} coefficients, got {len(nums)}")
-    # the basis is sparse, so the sum is accumulated entry by entry
+    # the basis entries are integers (denominator 1) and sparse, so the sum
+    # is accumulated entry by entry over the coefficients' denominator
     zero = 0.0 if mode == FLOAT else 0
     entries = [zero] * (DIM * DIM)
-    for c, b_entries in zip(nums, basis):
+    for c, b in zip(nums, basis):
         if not c:
             continue
-        for idx, x in enumerate(b_entries):
+        for idx, x in enumerate(b._nums):
             if x:
                 entries[idx] += c * x
-    if mode == EXACT:
-        entries = [Fraction(n, d_coeffs * d_basis) for n in entries]
-    return Endo.from_flat(entries, mode)
+    return Endo._of(mode, entries, den)
 
 
 def j_compose_left(a: Endo) -> Endo:
     """J a, using that J is a signed permutation of coordinate pairs."""
-    rows = []
+    rows = a.rows
+    out = []
     for i in range(0, DIM, 2):
-        rows.append([-x for x in a.rows[i + 1]])
-        rows.append(a.rows[i])
-    return Endo._trusted(a.mode, rows)
+        out.append([-x for x in rows[i + 1]])
+        out.append(rows[i])
+    return Endo._trusted(a.mode, out)
 
 
 def j_compose_right(a: Endo) -> Endo:
@@ -688,15 +671,14 @@ def decompose_three_form(u: Form) -> ThreeFormParts:
         b.append([_inner_sum(contracted, t, zero) for t in _PSI_PLUS_CONTRACTIONS])
     c = [[b[i][j] + b[j][i] for j in range(DIM)] for i in range(DIM)]
     # -8 S = C + JCJ, and (JCJ)_ij = -C_{i^1, j^1} if i + j is even, else +
-    rows = [
-        [c[i][j] + (-1) ** (i + j + 1) * c[i ^ 1][j ^ 1] for j in range(DIM)]
-        for i in range(DIM)
+    minus_8s = [
+        c[i][j] + (-1) ** (i + j + 1) * c[i ^ 1][j ^ 1] for i in range(DIM) for j in range(DIM)
     ]
     if mode == EXACT:
-        rows = [[Fraction(-x, 8 * den) for x in r] for r in rows]
+        s = Endo._of(EXACT, [-x for x in minus_8s], 8 * den)
     else:
-        rows = [[zero - x / 8 for x in r] for r in rows]
-    parts = ThreeFormParts(alpha, lam, mu, Endo._trusted(mode, rows))
+        s = Endo._of(FLOAT, [zero - x / 8 for x in minus_8s])
+    parts = ThreeFormParts(alpha, lam, mu, s)
     _residual_guard(u, parts.reconstruct(), "3-form decomposition")
     return parts
 

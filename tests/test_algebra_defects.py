@@ -6,7 +6,9 @@ the (2,0) projection and the S part of a 3-form, or the psi lines of the
 (3,0) projection.  Others corrupt one step of the integer arithmetic of
 `Endo`, which keeps 36 numerators over one denominator: a transpose that
 leaves the entries in place, a product over the wrong denominator, a trace
-that forgets the denominator.  A wrong eigenvalue of the squared J action corrupts the
+that forgets the denominator, a sum that does not rescale its second
+operand to the common denominator, and compositions with J that drop the
+sign of its signed permutation.  A wrong eigenvalue of the squared J action corrupts the
 expectation of `type_projector_algebra` instead; `TYPE_EIGENVALUES` feeds
 nothing else but the (p,q) check of `type_project`.  The caches are cleared,
 the defect is patched in, and a named identity must then fail while it
@@ -17,11 +19,13 @@ suite records when the residual guard of a decomposition raises inside it.
 from __future__ import annotations
 
 import importlib
+import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from su3forms import forms, identities, structure
+from su3forms import cli, forms, identities, structure
 from su3forms.identities import run_algebra_suite
 from su3forms.structure import Endo
 
@@ -135,6 +139,98 @@ def test_trace_without_its_denominator_is_caught(fresh_caches, monkeypatch):
             Endo, "trace", lambda self: Fraction(sum(self._nums[::7]))
         ),
     )
+
+
+def _sum_without_rescaling_the_second(self: Endo, other: Endo) -> Endo:
+    da, db = self._den, other._den
+    den = da // gcd(da, db) * db
+    nums = [den // da * a + b for a, b in zip(self._nums, other._nums)]
+    return Endo._of(self.mode, nums, den)
+
+
+def test_sum_without_rescaling_the_second_operand_is_caught(fresh_caches, monkeypatch):
+    # the only sums over unequal denominators in a trial build g_dot = h + S,
+    # which only the metric_compatibility residual relates to the rest of the jet
+    _assert_caught(
+        "jet_constraint_residuals",
+        lambda: monkeypatch.setattr(Endo, "__add__", _sum_without_rescaling_the_second),
+    )
+
+
+def _unsigned_j_left(a: Endo) -> Endo:
+    nums = a._nums
+    out = []
+    for i in range(0, 36, 12):
+        out += nums[i + 6 : i + 12]
+        out += nums[i : i + 6]
+    return Endo._of(a.mode, out, a._den)
+
+
+def _unsigned_j_right(a: Endo) -> Endo:
+    nums = a._nums
+    out = []
+    for i in range(0, 36, 2):
+        out += (nums[i + 1], nums[i])
+    return Endo._of(a.mode, out, a._den)
+
+
+def _patch_everywhere(monkeypatch, name: str, value) -> None:
+    """Replace a kernel function in every flat module that imported it."""
+    for module in FLAT_MODULES:
+        mod = importlib.import_module(f"su3forms.{module}")
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, value)
+
+
+def _failed_checks() -> set[str]:
+    report = run_algebra_suite(trials=3, seed=0, mode="exact")
+    return {c.name for c in report.checks if not c.passed}
+
+
+# S fails its own validation under either defect, so the jet checks record
+# NaN rather than a residual
+J_DEFECTS = {
+    "j_compose_left": (
+        _unsigned_j_left,
+        {
+            "sym_minus_j_conjugation",
+            "sym_plus_action_trace",
+            "anti_endo_round_trip",
+            "params_jet_round_trip",
+            "jet_constraint_residuals",
+        },
+    ),
+    "j_compose_right": (
+        _unsigned_j_right,
+        {
+            "sym_plus_action_trace",
+            "anti_endo_round_trip",
+            "params_jet_round_trip",
+            "jet_constraint_residuals",
+            "scaling_curve",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(J_DEFECTS))
+def test_unsigned_j_composition_is_caught(fresh_caches, monkeypatch, name):
+    defect, expected = J_DEFECTS[name]
+    assert _failed_checks() == set()
+    _clear_caches()
+    _patch_everywhere(monkeypatch, name, defect)
+    assert _failed_checks() == expected
+
+
+def test_kernel_defect_fails_checks_instead_of_crashing(
+    fresh_caches, monkeypatch, tmp_path, capsys
+):
+    _patch_everywhere(monkeypatch, "j_compose_left", _unsigned_j_left)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify-algebra", "--trials", "2", "--out", str(out)]) == 1
+    failed = {c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]}
+    assert "params_jet_round_trip" in failed
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_exact_residual_below_float_range_fails(monkeypatch):

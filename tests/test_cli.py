@@ -109,9 +109,25 @@ def test_usage_errors_exit_two(monkeypatch, capsys):
     assert run(["verify-algebra", "--trials", "0"]) == 2
     assert run(["verify-s6", "--h", "1e-8"]) == 2
     assert run(["verify-s6", "--suite", "nope"]) == 2
-    assert run(["verify-s6", "--deform", "e9"]) == 2
-    assert run(["verify-s6", "--deform", "1,2,3"]) == 2
     capsys.readouterr()
+    # each bad direction is rejected for itself, not for the suite it runs
+    assert run(["verify-s6", "--deform", "e9"]) == 2
+    assert "e1..e7" in capsys.readouterr().err
+    assert run(["verify-s6", "--deform", "1,2,3"]) == 2
+    assert "7 components" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["gray", "spectral", "cl", "all"])
+def test_deform_rejects_another_suite(capsys, suite):
+    argv = ["verify-s6", "--suite", suite, "--samples", "1", "--deform", "a=e1"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--deform runs the linearized suite" in captured.err
+
+
+def test_deform_without_a_suite_runs_the_linearized_suite(capsys):
+    assert run(["verify-s6", "--samples", "1", "--deform", "a=e1"]) == 0
+    assert "five_form_vs_volume" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -119,7 +135,7 @@ def test_non_finite_deformation_exits_two(capsys, value):
     argv = ["verify-s6", "--samples", "1", "--deform", f"a={value},0,0,0,0,0,0"]
     assert run(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "finite" in captured.err
+    assert captured.out == "" and "must be finite" in captured.err
 
 
 def _assert_rejected_before_running(argv, out, capsys):

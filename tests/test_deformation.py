@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from su3forms.deformation import (
     DeformationParams,
     InconsistentJetError,
+    InvalidParamsError,
     SU3Jet,
     check_jet_consistency,
     jet_to_params,
@@ -177,7 +178,7 @@ def test_params_validation_rejects_bad_s():
     params = DeformationParams(
         Form.zero(EXACT), bad, Form.zero(EXACT), Fraction(0)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParamsError):
         params.validate()
 
 
@@ -188,7 +189,7 @@ def test_params_validation_rejects_non_invariant_phi():
     xi = random_vector(rng)
     phi = contract(xi, psi_plus())  # pure (2,0)+(0,2), not J-invariant
     params = DeformationParams(Form.zero(EXACT), Endo.zero(EXACT), phi, Fraction(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParamsError):
         params.validate()
 
 
@@ -220,9 +221,9 @@ def test_non_finite_params_fail_validation(value):
     bad_xi = replace(params, xi=params.xi + Form.blade("e1", FLOAT, value))
     bad_mu = replace(params, mu=value)
     for bad in (bad_s, bad_phi, bad_xi, bad_mu):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamsError):
             bad.validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamsError):
             params_to_jet(bad)
 
 
@@ -253,6 +254,17 @@ def test_scaled_psi_plus_dot_breaks_norm_constraint():
     )
     res = check_jet_consistency(tampered)
     assert res["norm_constraint"] != 0
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_tampered_g_dot_breaks_metric_compatibility(mode):
+    # g_dot + I stays symmetric, so only omega_dot = g_dot J + J_dot sees it
+    jet = params_to_jet(random_params(random.Random(12), mode))
+    tampered = replace(jet, g_dot=jet.g_dot + Endo.identity(mode))
+    assert check_jet_consistency(tampered)["metric_compatibility"] == pytest.approx(1)
+    with pytest.raises(InconsistentJetError) as err:
+        jet_to_params(tampered)
+    assert err.value.failures == ["metric_compatibility"]
 
 
 # ---------------------------------------------------------------------------

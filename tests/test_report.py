@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from su3forms.identities import run_algebra_suite
 from su3forms.report import ORDER_BAND, Ledger
 
 NAN = float("nan")
@@ -76,3 +78,21 @@ def test_nan_in_an_order_slot_fails():
     check = ledger.result("x", 1e-5, order=(0, 1))
     assert check.max_residual == 0.0
     assert not check.passed
+
+
+#: sha256 of `run_algebra_suite(30, seed=11, mode=...).to_json()`.  A kernel
+#: change must keep the algebra reports byte-identical, or update these pins
+#: and say which bytes moved and why.  The float report is pure Python floats;
+#: its samples come from `random.gauss`, so it also rests on the C library's
+#: `log`, `cos` and `sin`.  The sphere reports are not pinned: they go through
+#: numpy's BLAS and LAPACK, whose rounding depends on the build.
+ALGEBRA_REPORT_SHA256 = {
+    "exact": "2f1c99cffb3bcdc67b083346c4eb3b6200853b27265d3b7e498885a16d7a18e4",
+    "float": "47498354dba01b8e2e8ff8e04d27d3e8160a03ca72525d13dc61071139f9bb5e",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ALGEBRA_REPORT_SHA256))
+def test_algebra_report_bytes_are_pinned(mode):
+    report = run_algebra_suite(30, seed=11, mode=mode).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == ALGEBRA_REPORT_SHA256[mode]
