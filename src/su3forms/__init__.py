@@ -28,7 +28,6 @@ from su3forms.structure import (
     omega,
     psi_minus,
     psi_plus,
-    sym_minus_to_form,
     type_project,
     volume_form,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "psi_plus",
     "run_algebra_suite",
     "sphere_deformation",
-    "sym_minus_to_form",
     "type_project",
     "verify_cl_identities",
     "verify_gray",

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from su3forms.forms import (
@@ -43,41 +42,7 @@ from su3forms.structure import (
 if TYPE_CHECKING:
     import numpy as np
 
-ALGEBRA = "algebra"
 S6_SUITES = ("gray", "linearized", "spectral", "cl", "all")
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Validated parameter bundle shared by the verify commands."""
-
-    suite: str
-    trials: int = 1000
-    seed: int = 0
-    mode: str = EXACT
-    h: float = 1e-3
-    samples: int = 50
-    out: str | None = None
-
-    def problem(self) -> str | None:
-        if self.suite != ALGEBRA and self.suite not in S6_SUITES:
-            return f"unknown suite {self.suite!r}"
-        if self.trials < 1:
-            return "trials must be at least 1"
-        if self.samples < 1:
-            return "samples must be at least 1"
-        if self.mode not in (EXACT, FLOAT):
-            return f"unknown mode {self.mode!r}"
-        if self.out:
-            folder = os.path.dirname(os.path.abspath(self.out))
-            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-                return f"report directory {folder} is missing or not writable"
-        if self.suite != ALGEBRA:
-            from su3forms.sphere import MIN_STEP
-
-            if not MIN_STEP < self.h < 1e-1:
-                return f"step {self.h} outside the usable range ({MIN_STEP:g}, 0.1)"
-        return None
 
 
 def _emit(report: VerificationReport, out: str | None) -> int:
@@ -91,11 +56,6 @@ def _emit(report: VerificationReport, out: str | None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     return 0 if report.all_passed else 1
-
-
-def cmd_verify_algebra(cfg: SuiteConfig) -> int:
-    report = run_algebra_suite(trials=cfg.trials, seed=cfg.seed, mode=cfg.mode)
-    return _emit(report, cfg.out)
 
 
 def _parse_direction(text: str) -> np.ndarray:
@@ -118,31 +78,24 @@ def _parse_direction(text: str) -> np.ndarray:
     return v
 
 
-def cmd_verify_s6(cfg: SuiteConfig, a: np.ndarray | None) -> int:
+def cmd_verify_s6(args: argparse.Namespace, a: np.ndarray | None) -> int:
     from su3forms import suites
 
+    samples, h, seed = args.samples, args.h, args.seed
     if a is not None:
-        report = suites.verify_linearized(a, cfg.samples, cfg.h, cfg.seed)
-        return _emit(report, cfg.out)
-    if cfg.suite == "gray":
-        report = suites.verify_gray(cfg.samples, cfg.h, cfg.seed)
-    elif cfg.suite == "spectral":
-        report = suites.verify_spectral(cfg.samples, cfg.h, cfg.seed)
-    elif cfg.suite == "linearized":
-        report = suites.verify_linearized_basis(cfg.samples, cfg.h, cfg.seed)
-    elif cfg.suite == "cl":
-        report = suites.verify_cl_identities(cfg.samples, cfg.h, cfg.seed)
+        return _emit(suites.verify_linearized(a, samples, h, seed), args.out)
+    runs = {
+        "gray": suites.verify_gray,
+        "spectral": suites.verify_spectral,
+        "linearized": suites.verify_linearized_basis,
+        "cl": suites.verify_cl_identities,
+    }
+    suite = args.suite or "all"
+    if suite == "all":
+        report = merge_reports("s6", [run(samples, h, seed) for run in runs.values()])
     else:
-        report = merge_reports(
-            "s6",
-            [
-                suites.verify_gray(cfg.samples, cfg.h, cfg.seed),
-                suites.verify_spectral(cfg.samples, cfg.h, cfg.seed),
-                suites.verify_linearized_basis(cfg.samples, cfg.h, cfg.seed),
-                suites.verify_cl_identities(cfg.samples, cfg.h, cfg.seed),
-            ],
-        )
-    return _emit(report, cfg.out)
+        report = runs[suite](samples, h, seed)
+    return _emit(report, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -230,37 +183,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_report_path(parser: argparse.ArgumentParser, out: str | None) -> None:
+    """Reject an --out that cannot be written, before any suite runs."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        parser.error(f"report path {out} is a directory")
+    folder = os.path.dirname(os.path.abspath(out))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        parser.error(f"report directory {folder} is missing or not writable")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "verify-algebra":
-        cfg = SuiteConfig(
-            suite=ALGEBRA, trials=args.trials, seed=args.seed,
-            mode=args.mode, out=args.out,
-        )
-        if (msg := cfg.problem()):
-            parser.error(msg)
-        return cmd_verify_algebra(cfg)
+        if args.trials < 1:
+            parser.error("trials must be at least 1")
+        _check_report_path(parser, args.out)
+        report = run_algebra_suite(trials=args.trials, seed=args.seed, mode=args.mode)
+        return _emit(report, args.out)
 
     if args.command == "decompose":
         return cmd_decompose(args.kind)
 
     if args.deform is not None and args.suite not in (None, "linearized"):
         parser.error(f"--deform runs the linearized suite, not --suite {args.suite}")
-    cfg = SuiteConfig(
-        suite=args.suite or "all", seed=args.seed, mode=FLOAT,
-        h=args.h, samples=args.samples, out=args.out,
-    )
-    if (msg := cfg.problem()):
-        parser.error(msg)
+    if args.samples < 1:
+        parser.error("samples must be at least 1")
+    _check_report_path(parser, args.out)
+    from su3forms.sphere import MIN_STEP
+
+    if not MIN_STEP < args.h < 1e-1:
+        parser.error(f"step {args.h} outside the usable range ({MIN_STEP:g}, 0.1)")
     a = None
     if args.deform is not None:
         try:
             a = _parse_direction(args.deform)
         except ValueError as exc:
             parser.error(str(exc))
-    return cmd_verify_s6(cfg, a)
+    return cmd_verify_s6(args, a)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
-from typing import Mapping
 
 from su3forms.forms import (
     FLOAT,
@@ -25,8 +24,6 @@ from su3forms.forms import (
     Scalar,
     coerce_scalar,
     contract,
-    decode_scalar,
-    encode_scalar,
     inner,
     scalar_zero,
     wedge,
@@ -118,28 +115,6 @@ class DeformationParams:
             Form.zero(mode), Endo.zero(mode), Form.zero(mode), scalar_zero(mode)
         )
 
-    def to_json_dict(self) -> dict:
-        mode = self.mode
-        return {
-            "mode": mode,
-            "xi": [encode_scalar(c, mode) for c in self.xi.components()],
-            "S": [encode_scalar(c, mode) for c in self.s.flat()],
-            "phi": self.phi.to_json_dict(),
-            "mu": encode_scalar(self.mu, mode),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "DeformationParams":
-        try:
-            phi = Form.from_json_dict(data["phi"])
-            mode = data.get("mode", phi.mode)
-            xi = Form.vector([decode_scalar(c, mode) for c in data["xi"]], mode)
-            s = Endo.from_flat([decode_scalar(c, mode) for c in data["S"]], mode)
-            mu = decode_scalar(data["mu"], mode)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"params object is missing fields: {exc}") from exc
-        return cls(xi, s, phi, mu)
-
 
 @dataclass(frozen=True)
 class SU3Jet:
@@ -158,37 +133,6 @@ class SU3Jet:
     @property
     def mode(self) -> str:
         return self.omega_dot.mode
-
-    @classmethod
-    def zero(cls, mode: str) -> "SU3Jet":
-        z2 = Form.zero(mode)
-        return cls(Endo.zero(mode), Endo.zero(mode), z2, z2, z2)
-
-    def to_json_dict(self) -> dict:
-        mode = self.mode
-        return {
-            "mode": mode,
-            "g_dot": [encode_scalar(c, mode) for c in self.g_dot.flat()],
-            "j_dot": [encode_scalar(c, mode) for c in self.j_dot.flat()],
-            "omega_dot": self.omega_dot.to_json_dict(),
-            "psi_plus_dot": self.psi_plus_dot.to_json_dict(),
-            "psi_minus_dot": self.psi_minus_dot.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SU3Jet":
-        try:
-            omega_dot = Form.from_json_dict(data["omega_dot"])
-            mode = data.get("mode", omega_dot.mode)
-            return cls(
-                Endo.from_flat([decode_scalar(c, mode) for c in data["g_dot"]], mode),
-                Endo.from_flat([decode_scalar(c, mode) for c in data["j_dot"]], mode),
-                omega_dot,
-                Form.from_json_dict(data["psi_plus_dot"]),
-                Form.from_json_dict(data["psi_minus_dot"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"jet object is missing fields: {exc}") from exc
 
 
 def params_to_jet(params: DeformationParams) -> SU3Jet:

@@ -346,13 +346,6 @@ class Form:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, value) -> "Form":
-        v = coerce_scalar(value, self.mode)
-        return Form._trusted(self.mode, {m: c / v for m, c in self._c.items()})
-
-    def __xor__(self, other: "Form") -> "Form":
-        return wedge(self, other)
-
     # -- comparison ----------------------------------------------------------
 
     def isclose(self, other: "Form", tol: float = DEFAULT_TOL) -> bool:

@@ -132,12 +132,6 @@ class Endo:
     def identity(cls, mode: str) -> "Endo":
         return cls(mode, [[1 if i == j else 0 for j in range(DIM)] for i in range(DIM)])
 
-    @classmethod
-    def from_flat(cls, values: Sequence, mode: str) -> "Endo":
-        if len(values) != DIM * DIM:
-            raise ValueError(f"expected {DIM * DIM} entries, got {len(values)}")
-        return cls(mode, [values[i * DIM : (i + 1) * DIM] for i in range(DIM)])
-
     def flat(self) -> tuple[Scalar, ...]:
         """The 36 entries row by row, as scalars of the mode."""
         if self.mode == FLOAT:
@@ -454,15 +448,11 @@ def alpha_map(a: Form) -> Form:
     return _from_numerators(a.mode, {1 << i: c for i, c in enumerate(sums)}, den)
 
 
-def vector_cross_endo(xi: Form, three_form: Form | None = None) -> Endo:
-    """Endomorphism K with g(KX, Y) = u(xi, X, Y) for a 3-form u.
-
-    Defaults to u = psi_plus, giving the skew J-anticommuting endomorphism
-    attached to the vector xi.
-    """
-    u = psi_plus(xi.mode) if three_form is None else three_form
-    # rows[y][x] = u(xi, e_x, e_y), the skew matrix of the 2-form xi -| u
-    return endo_from_two_form(contract(xi, u))
+def vector_cross_endo(xi: Form) -> Endo:
+    """The skew J-anticommuting endomorphism K with g(KX, Y) =
+    psi_plus(xi, X, Y) attached to the vector xi."""
+    # rows[y][x] = psi_plus(xi, e_x, e_y), the skew matrix of xi -| psi_plus
+    return endo_from_two_form(contract(xi, psi_plus(xi.mode)))
 
 
 def two_form_from_endo(f: Endo) -> Form:
@@ -681,19 +671,6 @@ def decompose_three_form(u: Form) -> ThreeFormParts:
     parts = ThreeFormParts(alpha, lam, mu, s)
     _residual_guard(u, parts.reconstruct(), "3-form decomposition")
     return parts
-
-
-def sym_minus_to_form(s: Endo, which: str = "psi_plus") -> Form:
-    """Image of a J-anticommuting symmetric endomorphism on a psi line.
-
-    which selects the acted-on form: "psi_plus" gives S . psi_plus,
-    "psi_minus" gives S . psi_minus.  Injective with 12-dimensional image.
-    """
-    if which == "psi_plus":
-        return endo_act(s, psi_plus(s.mode))
-    if which == "psi_minus":
-        return endo_act(s, psi_minus(s.mode))
-    raise ValueError(f"unknown target form {which!r}")
 
 
 def form_to_sym_minus(u: Form) -> Endo:

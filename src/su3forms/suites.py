@@ -225,13 +225,13 @@ def sphere_deformation(a: np.ndarray) -> DeformationBundle:
     )
 
 
-def deformation_span_ratio(seed: int = 0, probes: int = 5) -> float:
+def deformation_span_ratio(seed: int = 0) -> float:
     """Smallest/largest singular value of the (mu, xi) probe matrix over the
-    seven coordinate bundles, at fixed seeded probe points.
+    seven coordinate bundles, at five fixed seeded points.
 
     On the unit sphere |q x a|^2 + <q, a>^2 = |a|^2, so the Gram matrix of
-    the seven rows is probes * I and the ratio is 1 up to roundoff."""
-    pts = sp.random_points(seed + 1000, probes)
+    the seven rows is 5 I and the ratio is 1 up to roundoff."""
+    pts = sp.random_points(seed + 1000, 5)
     rows = []
     for a in np.eye(7):
         bundle = sphere_deformation(a)
@@ -292,9 +292,13 @@ def verify_linearized(
     and h/2 (the 5-form identity's truncation constant exceeds the tolerance
     under the plain scheme); orders come from the plain values.
 
-    defect="scale_psi_plus_dot" multiplies psi_plus_dot by 1.1.
+    defect="scale_psi_plus_dot" multiplies psi_plus_dot by 1.1.  Raises
+    ValueError for a zero or non-finite a.
     """
     require_count("samples", samples)
+    # a zero direction gives zero fields, whose residuals are 0 and would pass
+    if not (np.isfinite(a).all() and np.any(a)):
+        raise ValueError(f"direction must be finite and nonzero, got {a}")
     checks = _linearized_checks(a, _frames(seed, samples), h, defect)
     return VerificationReport("linearized", h, samples, seed, (*checks, _span_check(seed)))
 

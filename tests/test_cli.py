@@ -144,7 +144,9 @@ def _assert_rejected_before_running(argv, out, capsys):
     # rejected as a usage error: no suite ran, so no summary line printed
     assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
-    assert not out.exists()
+    # nothing written: a missing path stays missing, a directory stays empty
+    assert not out.exists() or (out.is_dir() and not any(out.iterdir()))
+    return captured.err
 
 
 def test_unwritable_report_path_exits_two(tmp_path, capsys):
@@ -155,6 +157,15 @@ def test_unwritable_report_path_exits_two(tmp_path, capsys):
 def test_unwritable_s6_report_path_exits_two(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     _assert_rejected_before_running(["verify-s6", "--suite", "gray", "--samples", "1"], out, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-algebra", "--trials", "1"], ["verify-s6", "--suite", "gray", "--samples", "1"]],
+)
+def test_directory_report_path_exits_two(tmp_path, capsys, argv):
+    err = _assert_rejected_before_running(argv, tmp_path, capsys)
+    assert "is a directory" in err
 
 
 @pytest.mark.parametrize("suite, samples", [("gray", "0"), ("gray", "-1"), ("spectral", "0")])

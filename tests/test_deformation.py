@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -265,41 +264,6 @@ def test_tampered_g_dot_breaks_metric_compatibility(mode):
     with pytest.raises(InconsistentJetError) as err:
         jet_to_params(tampered)
     assert err.value.failures == ["metric_compatibility"]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_params_json_round_trip():
-    rng = random.Random(10)
-    for mode in (EXACT, FLOAT):
-        p = random_params(rng, mode)
-        data = json.loads(json.dumps(p.to_json_dict()))
-        q = DeformationParams.from_json_dict(data)
-        assert q.mode == mode
-        if mode == EXACT:
-            assert (q.xi, q.s, q.phi, q.mu) == (p.xi, p.s, p.phi, p.mu)
-        else:
-            assert (q.xi - p.xi).max_norm() == 0
-            assert (q.s - p.s).max_norm() == 0
-
-
-def test_jet_json_round_trip():
-    rng = random.Random(11)
-    jet = params_to_jet(random_params(rng))
-    data = json.loads(json.dumps(jet.to_json_dict()))
-    back = SU3Jet.from_json_dict(data)
-    assert back.omega_dot == jet.omega_dot
-    assert back.psi_plus_dot == jet.psi_plus_dot
-    assert back.psi_minus_dot == jet.psi_minus_dot
-    assert back.g_dot == jet.g_dot
-    assert back.j_dot == jet.j_dot
-
-
-def test_params_json_rejects_missing_fields():
-    with pytest.raises(ValueError):
-        DeformationParams.from_json_dict({"xi": [0] * 6})
 
 
 @given(st.integers(0, 10**6))

@@ -1,0 +1,103 @@
+"""Source hygiene of the package, checked with the stdlib `ast` alone: no
+unused module-level import, no private module-level function or class that
+nothing calls, and no export that fails to resolve."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import su3forms
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "su3forms"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names(node: ast.AST, skip: ast.AST | None = None, attributes: bool = True) -> set[str]:
+    """Every identifier node refers to by name (and by attribute or imported
+    name, if attributes), including those in quoted annotations, leaving out
+    the subtree skip."""
+    found: set[str] = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif attributes and isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif attributes and isinstance(n, ast.alias):
+            found.add(n.name)
+        annotations = []
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = n.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            annotations = [a.annotation for a in every if a is not None] + [n.returns]
+        elif isinstance(n, ast.AnnAssign):
+            annotations = [n.annotation]
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                stack.append(ast.parse(ann.value, mode="eval"))
+        stack.extend(ast.iter_child_nodes(n))
+    return found
+
+
+def _module_level(tree: ast.Module):
+    """Top-level statements, and those inside top-level `if` blocks (such as
+    `if TYPE_CHECKING:`)."""
+    for stmt in tree.body:
+        yield stmt
+        if isinstance(stmt, ast.If):
+            yield from stmt.body
+            yield from stmt.orelse
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            return set(ast.literal_eval(stmt.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    tree = _tree(path)
+    bound = set()
+    for stmt in _module_level(tree):
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                bound.add(alias.asname or alias.name.split(".")[0])
+    used = _exported(tree) | _names(tree, attributes=False)
+    assert sorted(bound - used) == []
+
+
+def test_every_private_definition_is_referenced():
+    trees = {path: _tree(path) for path in MODULES}
+    unused = []
+    for path, tree in trees.items():
+        for stmt in _module_level(tree):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = stmt.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            elsewhere = (_names(t, skip=stmt if p == path else None) for p, t in trees.items())
+            if not any(name in names for names in elsewhere):
+                unused.append(f"{path.name}:{name}")
+    assert unused == []
+
+
+@pytest.mark.parametrize("name", su3forms.__all__)
+def test_every_export_resolves(name):
+    assert getattr(su3forms, name) is not None

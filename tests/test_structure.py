@@ -56,6 +56,7 @@ from su3forms.structure import (
     decompose_three_form,
     decompose_two_form,
     endo_act,
+    endo_from_two_form,
     j_compose_left,
     j_compose_right,
     lefschetz_contract,
@@ -501,12 +502,13 @@ def test_anti_endo_decomposition():
 @settings(max_examples=40)
 @given(vectors(), forms_of_degree(3, max_terms=20))
 def test_vector_cross_endo_matches_evaluation_oracle(xi, u):
-    # g(K X, Y) = u(xi, X, Y) for a general 3-form, not only psi_plus
-    k = vector_cross_endo(xi, u)
+    # g(K X, Y) = u(xi, X, Y) for the skew endo of xi -| u, with u a general
+    # 3-form; vector_cross_endo is the case u = psi_plus
     unit = [[1 if i == j else 0 for i in range(DIM)] for j in range(DIM)]
-    for x in range(DIM):
-        for y in range(DIM):
-            assert k.rows[y][x] == evaluate_oracle(u, [xi.components(), unit[x], unit[y]])
+    for form, k in ((u, endo_from_two_form(contract(xi, u))), (PSI_P, vector_cross_endo(xi))):
+        for x in range(DIM):
+            for y in range(DIM):
+                assert k.rows[y][x] == evaluate_oracle(form, [xi.components(), unit[x], unit[y]])
 
 
 @given(st.data())

@@ -134,6 +134,18 @@ def test_empty_runs_are_rejected(suite, samples):
         suite(samples=samples)
 
 
+@pytest.mark.parametrize("component", [0.0, np.nan, np.inf])
+def test_zero_or_non_finite_direction_is_rejected(monkeypatch, component):
+    def no_work(*args):
+        raise AssertionError("rejected direction reached the checks")
+
+    a = np.zeros(7)
+    a[3] = component
+    monkeypatch.setattr("su3forms.suites._linearized_checks", no_work)
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        verify_linearized(a, samples=2)
+
+
 def test_unknown_defect_rejected():
     with pytest.raises(ValueError):
         verify_gray(samples=2, defect="typo")
