@@ -229,7 +229,7 @@ def three_form_contraction(rng, mode):
 
 
 def su3_invariance(rng, mode):
-    r = sampling.random_su3_rotation(rng, factors=2)
+    r = sampling.random_su3_rotation(rng)
     if mode != EXACT:
         r = r.to_float()
     j = complex_structure(mode)

@@ -4,7 +4,9 @@ A report is a flat list of named checks, each carrying the worst residual
 seen, an observed convergence order where one makes sense, and a pass flag.
 Every suite keeps its worst residuals in a `Ledger`, which also judges them.
 Serialization is deterministic (sorted checks, sorted keys) so identical
-configurations produce byte-identical JSON.
+configurations produce byte-identical JSON, and strict: JSON has no NaN or
+infinity, so a non-finite residual or order is written as the string "nan",
+"inf" or "-inf", and any other non-finite float raises.
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ ORDER_FLOOR = 1e-10
 ORDER_BAND = (1.8, 2.2)
 
 
+def _json_float(value) -> float | str:
+    # numpy scalars sneak in from the suites; json will not take them
+    x = float(value)
+    return x if math.isfinite(x) else str(x)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -29,11 +37,10 @@ class CheckResult:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        # numpy scalars sneak in from the suites; json will not take them
         return {
             "name": self.name,
-            "max_residual": float(self.max_residual),
-            "conv_order": None if self.conv_order is None else float(self.conv_order),
+            "max_residual": _json_float(self.max_residual),
+            "conv_order": None if self.conv_order is None else _json_float(self.conv_order),
             "pass": bool(self.passed),
         }
 
@@ -62,7 +69,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     def summary_lines(self) -> list[str]:
         lines = []

@@ -139,11 +139,11 @@ def su3_generators() -> tuple[Endo, ...]:
     return tuple(gens)
 
 
-def random_su3_rotation(rng: random.Random, factors: int = 3) -> Endo:
-    """Product of random exact generators; stays in SU(3) exactly."""
+def random_su3_rotation(rng: random.Random) -> Endo:
+    """Product of two random exact generators; stays in SU(3) exactly."""
     gens = su3_generators()
     out = Endo.identity(EXACT)
-    for _ in range(factors):
+    for _ in range(2):
         out = out @ gens[rng.randrange(len(gens))]
     return out
 

@@ -1,36 +1,80 @@
-"""Shared hypothesis strategies and helpers for the test suite."""
+"""Shared test inputs: scaled bases that prove multilinear identities, and
+seeded draws for the tests that are not multilinear.
+
+An identity that is linear in each input holds everywhere once it holds on
+every tuple of basis elements, given that the kernel operations are linear.
+Each basis element carries its own nonzero rational coefficient
+(denominators 1 to 7), so a kernel that drops, misplaces or mis-scales a
+coefficient, or divides by the wrong denominator, fails on the basis as it
+would on general input.  Sums of many-term forms over unequal denominators
+are checked on seeded draws (`test_linearity`, the wedge tuple oracle).
+"""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from hypothesis import strategies as st
-
-from su3forms.forms import DIM, EXACT, FLOAT, Form, blades_of_degree
-
-rationals = st.fractions(
-    min_value=Fraction(-6), max_value=Fraction(6), max_denominator=7
-)
-
-small_floats = st.floats(
-    min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False
-)
+from oracles import form_to_tuples, wedge_oracle
+from su3forms.forms import DIM, EXACT, FLOAT, N_BLADES, Form, blades_of_degree, wedge
+from su3forms.structure import Endo
 
 
-def forms_of_degree(k: int, mode: str = EXACT, max_terms: int = 6):
-    """Homogeneous degree-k forms with a bounded number of blade terms."""
-    scalars = rationals if mode == EXACT else small_floats
-    blades = blades_of_degree(k)
-    return st.dictionaries(
-        st.sampled_from(blades), scalars, max_size=min(max_terms, len(blades))
-    ).map(lambda d: Form(mode, d))
+def _basis_coefficient(i: int) -> Fraction:
+    return Fraction((-1) ** i * (i % 5 + 1), i % 7 + 1)
 
 
-def vectors(mode: str = EXACT):
-    scalars = rationals if mode == EXACT else small_floats
-    return st.lists(scalars, min_size=DIM, max_size=DIM).map(
-        lambda c: Form.vector(c, mode)
-    )
+BASIS_VECTORS = tuple(Form.blade(1 << i, EXACT, _basis_coefficient(i)) for i in range(DIM))
+BASIS_BLADES = tuple(Form.blade(m, EXACT, _basis_coefficient(m)) for m in range(N_BLADES))
 
 
-mixed_forms = st.integers(min_value=0, max_value=DIM).flatmap(forms_of_degree)
+def _elementary_endo(n: int) -> Endo:
+    rows = [[0] * DIM for _ in range(DIM)]
+    rows[n // DIM][n % DIM] = _basis_coefficient(n)
+    return Endo(EXACT, rows)
+
+
+#: scaled elementary matrices, a basis of gl(6)
+BASIS_ENDOS = tuple(map(_elementary_endo, range(DIM * DIM)))
+
+
+def blades_by_degree(k: int) -> tuple[Form, ...]:
+    return tuple(BASIS_BLADES[m] for m in blades_of_degree(k))
+
+
+def wedge_oracle_mismatches() -> list[tuple[int, int]]:
+    """The blade pairs (a, b) on which `wedge` disagrees with the tuple
+    oracle, over all 64 x 64 pairs of `BASIS_BLADES`."""
+    return [
+        (m, n)
+        for m, a in enumerate(BASIS_BLADES)
+        for n, b in enumerate(BASIS_BLADES)
+        if form_to_tuples(wedge(a, b)) != wedge_oracle(a, b)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# seeded draws
+
+
+def draw_scalar(rng: random.Random, mode: str = EXACT):
+    """A rational in [-6, 6] with denominator at most 7, or a float in [-4, 4]."""
+    if mode == FLOAT:
+        return rng.uniform(-4.0, 4.0)
+    den = rng.randint(1, 7)
+    return Fraction(rng.randint(-6 * den, 6 * den), den)
+
+
+def draw_form(rng: random.Random, mode: str = EXACT) -> Form:
+    """A form of one random degree on at most 6 of its blades."""
+    blades = blades_of_degree(rng.randint(0, DIM))
+    picked = rng.sample(blades, rng.randint(0, min(6, len(blades))))
+    return Form(mode, {m: draw_scalar(rng, mode) for m in picked})
+
+
+def draw_vector(rng: random.Random, mode: str = EXACT) -> Form:
+    return Form.vector([draw_scalar(rng, mode) for _ in range(DIM)], mode)
+
+
+def draw_matrix(rng: random.Random, bound: int) -> list[list[int]]:
+    return [[rng.randint(-bound, bound) for _ in range(DIM)] for _ in range(DIM)]

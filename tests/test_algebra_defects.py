@@ -1,9 +1,10 @@
 """The exact identity suite against defects injected into the flat kernel.
 
 Each defect corrupts one table the kernel reads: an entry of the wedge sign
-table, the matrix of J, an entry of the e_i -| psi_plus table behind alpha,
-the (2,0) projection and the S part of a 3-form, or the psi lines of the
-(3,0) projection.  Others corrupt one step of the integer arithmetic of
+table (four more entries, which the suite passes, must fail the wedge tuple
+oracle instead), the matrix of J, an entry of the e_i -| psi_plus table
+behind alpha, the (2,0) projection and the S part of a 3-form, or the psi
+lines of the (3,0) projection.  Others corrupt one step of the integer arithmetic of
 `Endo`, which keeps 36 numerators over one denominator: a transpose that
 leaves the entries in place, a product over the wrong denominator, a trace
 that forgets the denominator, a sum that does not rescale its second
@@ -25,6 +26,7 @@ from math import gcd
 
 import pytest
 
+from conftest import wedge_oracle_mismatches
 from su3forms import cli, forms, identities, structure
 from su3forms.identities import run_algebra_suite
 from su3forms.structure import Endo
@@ -70,6 +72,29 @@ def test_flipped_wedge_sign_is_caught(fresh_caches, monkeypatch):
         "structure_compatibility",
         lambda: monkeypatch.setattr(forms, "_WEDGE_SIGNS", tuple(map(tuple, signs))),
     )
+
+
+# One flipped wedge sign in each of the degree pairs (2,3), (3,1), (4,1) and
+# (2,2) that the exact suite passes: no check wedges general forms of those
+# degrees in that order, and omega ^ psi vanishes blade by blade.  Only the
+# comparison of every blade pair with the tuple oracle sees them.
+SUITE_BLIND_WEDGE_FLIPS = {
+    "e12^e345": (0b000011, 0b011100),
+    "e123^e4": (0b000111, 0b001000),
+    "e1234^e5": (0b001111, 0b010000),
+    "e13^e24": (0b000101, 0b001010),
+}
+
+
+@pytest.mark.parametrize("flip", sorted(SUITE_BLIND_WEDGE_FLIPS))
+def test_flip_the_suite_misses_fails_the_wedge_oracle(fresh_caches, monkeypatch, flip):
+    a, b = SUITE_BLIND_WEDGE_FLIPS[flip]
+    assert wedge_oracle_mismatches() == []
+    signs = [list(row) for row in forms._WEDGE_SIGNS]
+    signs[a][b] = -signs[a][b]
+    _clear_caches()
+    monkeypatch.setattr(forms, "_WEDGE_SIGNS", tuple(map(tuple, signs)))
+    assert wedge_oracle_mismatches() == [(a, b)]
 
 
 def test_wrong_type_eigenvalue_is_caught(fresh_caches, monkeypatch):

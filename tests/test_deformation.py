@@ -7,9 +7,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
+from conftest import BASIS_VECTORS, blades_by_degree
 from su3forms.deformation import (
     DeformationParams,
     InconsistentJetError,
@@ -28,6 +27,8 @@ from su3forms.structure import (
     omega,
     psi_minus,
     psi_plus,
+    sym_minus_basis,
+    type_project,
     vector_cross_endo,
 )
 from su3forms.sampling import (
@@ -266,9 +267,16 @@ def test_tampered_g_dot_breaks_metric_compatibility(mode):
     assert err.value.failures == ["metric_compatibility"]
 
 
-@given(st.integers(0, 10**6))
-def test_lam_is_quarter_trace(seed):
-    rng = random.Random(seed)
-    p = random_params(rng)
-    assert p.lam == p.h.trace() / 4
-    assert p.lam == lefschetz_contract(p.phi).coeff(0) / 2
+def test_lam_is_quarter_trace():
+    # all three sides are linear in (xi, S, phi, mu), so a basis of each part,
+    # with the other parts zero, proves it; the (1,1) parts of the 2-blades
+    # span the J-invariant 2-forms
+    zero = DeformationParams.zero(EXACT)
+    for p in (
+        *(replace(zero, xi=x) for x in BASIS_VECTORS),
+        *(replace(zero, s=s) for s in sym_minus_basis()),
+        *(replace(zero, phi=type_project(b, 1, 1)) for b in blades_by_degree(2)),
+        replace(zero, mu=Fraction(1)),
+    ):
+        assert p.lam == p.h.trace() / 4
+        assert p.lam == lefschetz_contract(p.phi).coeff(0) / 2

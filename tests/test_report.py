@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from su3forms.identities import run_algebra_suite
-from su3forms.report import ORDER_BAND, Ledger
+from su3forms.report import ORDER_BAND, CheckResult, Ledger, VerificationReport
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("residuals", [[NAN, 0.0, 1e-3], [0.0, NAN, 1e-3], [1e-3, 0.0, NAN]])
@@ -78,6 +80,36 @@ def test_nan_in_an_order_slot_fails():
     check = ledger.result("x", 1e-5, order=(0, 1))
     assert check.max_residual == 0.0
     assert not check.passed
+
+
+def _strict_loads(text: str):
+    """json.loads that rejects NaN and Infinity, as jq and JSON.parse do."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("value, text", [(NAN, "nan"), (INF, "inf"), (-INF, "-inf")])
+def test_non_finite_check_is_written_as_a_string(value, text):
+    report = VerificationReport("s", 0.1, 1, 0, (CheckResult("x", value, value, False),))
+    (check,) = _strict_loads(report.to_json())["checks"]
+    assert check["max_residual"] == text
+    assert check["conv_order"] == text
+
+
+def test_failing_report_parses_strictly():
+    # a NaN in slot 0 makes both the residual and the order NaN
+    ledger = Ledger()
+    ledger.add("x", NAN, 0)
+    ledger.add("x", 1e-6, 1)
+    report = VerificationReport("s", 0.1, 1, 0, (ledger.result("x", 1.0, order=(0, 1)),))
+    (check,) = _strict_loads(report.to_json())["checks"]
+    assert check == {"name": "x", "max_residual": "nan", "conv_order": "nan", "pass": False}
+    # any other non-finite float raises rather than writing invalid JSON
+    with pytest.raises(ValueError):
+        VerificationReport("s", NAN, 1, 0, ()).to_json()
 
 
 #: sha256 of `run_algebra_suite(30, seed=11, mode=...).to_json()`.  A kernel

@@ -1,18 +1,29 @@
 """Source hygiene of the package, checked with the stdlib `ast` alone: no
 unused module-level import, no private module-level function or class that
-nothing calls, and no export that fails to resolve."""
+nothing calls, no export that fails to resolve, and no import of a package
+the project does not declare."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import su3forms
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "su3forms"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "su3forms"
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+#: what an import may name: the standard library, the declared dependencies
+#: (numpy, and pytest for the tests), the package and a sibling test module
+ALLOWED_IMPORTS = (
+    set(sys.stdlib_module_names)
+    | {"numpy", "pytest", "su3forms"}
+    | {path.stem for path in (ROOT / "tests").glob("*.py")}
+)
 
 
 def _tree(path: Path) -> ast.Module:
@@ -101,3 +112,23 @@ def test_every_private_definition_is_referenced():
 @pytest.mark.parametrize("name", su3forms.__all__)
 def test_every_export_resolves(name):
     assert getattr(su3forms, name) is not None
+
+
+def _imported_roots(tree: ast.Module):
+    """Top-level names of the absolute imports anywhere in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_only_declared_dependencies_are_imported():
+    sources = sorted(p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py"))
+    undeclared = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in sources
+        for name in sorted(set(_imported_roots(_tree(path))) - ALLOWED_IMPORTS)
+    ]
+    assert undeclared == []
