@@ -112,8 +112,11 @@ def _endo_rows(e: Endo, mode: str) -> list:
 
 def _decompose_payload(kind: str, data) -> dict:
     if kind == "endo":
-        mode = data["mode"]
-        f = Endo(mode, [[decode_scalar(v, mode) for v in row] for row in data["rows"]])
+        try:
+            mode, rows = data["mode"], data["rows"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"endomorphism object needs 'mode' and 'rows': {exc}") from exc
+        f = Endo(mode, [[decode_scalar(v, mode) for v in row] for row in rows])
         s, xi = decompose_anti_endo(f)
         residual = (f - (s + vector_cross_endo(xi))).max_norm()
         return {

@@ -15,7 +15,9 @@ is minus the trace of the covariant derivative along the frame itself,
 Operators take a point or its `AdaptedFrame`, which a caller builds once per
 point.  Fields are evaluated in batches: each operator makes one field call
 on all the points of its stencil, and the ambient algebra broadcasts over
-leading axes.
+leading axes.  `ext_d`, `covariant_d` and `codifferential` take one form
+field or a tuple of them: the fields of a tuple share one stencil and one
+Laplace recursion of minors, up to their highest degree.
 
 Forms on R^7 and frame values on the tangent space are numpy coefficient
 vectors over index combinations in lexicographic order, with product and
@@ -30,9 +32,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, wraps
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -200,30 +202,42 @@ def _laplace_table(n: int, m: int, d: int) -> tuple[np.ndarray, np.ndarray, np.n
     return ent, sub, signs
 
 
+def _minors_of_degrees(v: np.ndarray, degrees: Iterable[int]) -> dict[int, np.ndarray]:
+    """compound(v, d) for every d in degrees, from one Laplace recursion up
+    to the highest of them."""
+    degrees = set(degrees)
+    *lead, n, m = v.shape
+    # the empty minor is v's one
+    out = {0: np.ones((*lead, 1, 1), dtype=v.dtype)} if 0 in degrees else {}
+    entries = v.reshape(*lead, n * m)
+    minors = entries
+    for d in range(1, max(degrees) + 1):
+        if d > 1:
+            ent, sub, signs = _laplace_table(n, m, d)
+            acc = np.zeros((*lead, ent.shape[1]), dtype=v.dtype)
+            for j in range(d):
+                term = entries.take(ent[j], axis=-1)
+                term *= minors.take(sub[j], axis=-1)
+                if signs[j] > 0:
+                    acc += term
+                else:
+                    acc -= term
+            minors = acc
+        if d in degrees:
+            out[d] = minors.reshape(*lead, len(combos(n, d)), len(combos(m, d)))
+    return out
+
+
 def compound(v: np.ndarray, k: int) -> np.ndarray:
     """All k x k minors of v, shape (..., n, m) -> (..., C(n,k), C(m,k)).
 
     Rows and columns of the result follow the lex combination order.  Degree
     d is built from degree d - 1 by Laplace expansion along the first row,
-    one gather-multiply-add per expansion term.
+    one gather-multiply-add per expansion term.  The minors take v's dtype
+    (the empty minor is its one), so complex and exact `Fraction` object
+    arrays work as float64 does.
     """
-    *lead, n, m = v.shape
-    if k == 0:
-        return np.ones((*lead, 1, 1))
-    entries = v.reshape(*lead, n * m)
-    minors = entries
-    for d in range(2, k + 1):
-        ent, sub, signs = _laplace_table(n, m, d)
-        acc = np.zeros((*lead, ent.shape[1]))
-        for j in range(d):
-            term = entries.take(ent[j], axis=-1)
-            term *= minors.take(sub[j], axis=-1)
-            if signs[j] > 0:
-                acc += term
-            else:
-                acc -= term
-        minors = acc
-    return minors.reshape(*lead, len(combos(n, k)), len(combos(m, k)))
+    return _minors_of_degrees(v, (k,))[k]
 
 
 def pullback_form(coeffs: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
@@ -409,12 +423,39 @@ def _stencil(p: np.ndarray, x: np.ndarray, h: float, basis: np.ndarray | None = 
     return gamma, basis - gamma[..., :, None] * (gamma @ basis)[..., None, :]
 
 
-def _derivatives(field: FormField, p: np.ndarray, x: np.ndarray, basis: np.ndarray, h: float):
-    """Central differences along the great circles normalize(p + t x) of the
-    field pulled back along the projected basis, shape (..., C(m, degree))."""
+def _derivatives(
+    fields: tuple[FormField, ...], p: np.ndarray, x: np.ndarray, basis: np.ndarray, h: float
+) -> list[np.ndarray]:
+    """Central differences along the great circles normalize(p + t x) of
+    each field pulled back along the projected basis, shape
+    (..., C(m, degree)).  The fields share the stencil and one minor
+    recursion up to their highest degree; each is called once on the whole
+    stencil."""
     gamma, v = _stencil(p, x, h, basis)
-    plus, minus = pullback_form(field.ambient(gamma), field.degree, v)
-    return (plus - minus) / (2.0 * h)
+    minors = _minors_of_degrees(v, (field.degree for field in fields))
+    diffs = []
+    for field in fields:
+        # pullback_form's product, on the shared minors of its degree
+        plus, minus = (field.ambient(gamma)[..., None, :] @ minors[field.degree])[..., 0, :]
+        diffs.append((plus - minus) / (2.0 * h))
+    return diffs
+
+
+#: one form field, or a tuple of fields differentiated at one frame and step
+Fields = FormField | Sequence[FormField]
+
+
+def _fieldwise(op: Callable[..., tuple[np.ndarray, ...]]):
+    """Let an operator on a tuple of fields take a single field, as a
+    1-tuple, and return that field's value alone."""
+
+    @wraps(op)
+    def apply(fields: Fields, *args, **kwargs):
+        if isinstance(fields, FormField):
+            return op((fields,), *args, **kwargs)[0]
+        return op(tuple(fields), *args, **kwargs)
+
+    return apply
 
 
 #: fixed generic rotation taking the adapted frame to the basis `ext_d`
@@ -426,7 +467,8 @@ _TURN = np.linalg.qr(standard_normals(random.Random(6), 36).reshape(6, 6))[0]
 _TURN_BACK = tuple(compound(_TURN.T, k) for k in range(8))
 
 
-def ext_d(field: FormField, p: Where, h: float) -> np.ndarray:
+@_fieldwise
+def ext_d(fields: Fields, p: Where, h: float) -> tuple[np.ndarray, ...]:
     """Exterior derivative at p by central differences, second order in h,
     in frame components (lex order).
 
@@ -437,25 +479,32 @@ def ext_d(field: FormField, p: Where, h: float) -> np.ndarray:
     differential of that map is the projected B divided by sqrt(1 + h^2),
     and a k-form pulls back along it with the factor (1 + h^2)^(-k/2).  The
     field is evaluated and pulled back on the whole 12-point stencil at
-    once.  A caller that needs fourth order extrapolates the values at h and
-    h/2.
+    once.  Given a tuple of fields, returns the tuple of their derivatives,
+    all from one stencil.  A caller that needs fourth order extrapolates the
+    values at h and h/2.
     """
-    k = field.degree
     frame = _frame_at(p)
     basis = frame.matrix @ _TURN
-    partials = _derivatives(field, frame.point, basis.T, basis, h) / (1.0 + h * h) ** (k / 2)
-    # sum_j du^j ^ partial_j, through the wedge table of 1-forms with k-forms
-    return np.einsum("jp,jpo->o", partials, _wedge_table(6, 1, k)) @ _TURN_BACK[k + 1]
+    partials = _derivatives(fields, frame.point, basis.T, basis, h)
+    out = []
+    for field, d in zip(fields, partials):
+        k = field.degree
+        d = d / (1.0 + h * h) ** (k / 2)
+        # sum_j du^j ^ partial_j, through the wedge table of 1-forms with k-forms
+        out.append(np.einsum("jp,jpo->o", d, _wedge_table(6, 1, k)) @ _TURN_BACK[k + 1])
+    return tuple(out)
 
 
-def covariant_d(field: FormField, x: np.ndarray, p: Where, h: float) -> np.ndarray:
-    """Levi-Civita derivative of a form field along tangent x, at p.
+@_fieldwise
+def covariant_d(fields: Fields, x: np.ndarray, p: Where, h: float) -> tuple[np.ndarray, ...]:
+    """Levi-Civita derivative of a form field, or of each of a tuple of
+    fields, along tangent x, at p.
 
     Differentiates the frame components of the field, in the transported
     frame, along the great-circle curve normalize(p + t x).
     """
     frame = _frame_at(p)
-    return _derivatives(field, frame.point, x, frame.matrix, h)
+    return tuple(_derivatives(fields, frame.point, x, frame.matrix, h))
 
 
 def divergence_endo(s: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -> np.ndarray:
@@ -471,8 +520,10 @@ def divergence_endo(s: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -
     return -np.einsum("iai->a", plus - minus) / (2.0 * h)
 
 
-def codifferential(field: FormField, p: Where, h: float) -> np.ndarray:
-    """Codifferential of a form field at p, in frame components.
+@_fieldwise
+def codifferential(fields: Fields, p: Where, h: float) -> tuple[np.ndarray, ...]:
+    """Codifferential of a form field, or of each of a tuple of fields, at
+    p, in frame components.
 
     delta beta = -sum_j f_j -| nabla_{f_j} beta over the adapted frame f_j,
     which on the even-dimensional sphere equals -*d*: the covariant
@@ -480,8 +531,11 @@ def codifferential(field: FormField, p: Where, h: float) -> np.ndarray:
     call on the 12-point stencil, contracted into their directions.
     """
     frame = _frame_at(p)
-    partials = _derivatives(field, frame.point, frame.matrix.T, frame.matrix, h)
-    return -np.einsum("jp,jpo->o", partials, _contract_table(6, field.degree))
+    partials = _derivatives(fields, frame.point, frame.matrix.T, frame.matrix, h)
+    return tuple(
+        -np.einsum("jp,jpo->o", d, _contract_table(6, field.degree))
+        for field, d in zip(fields, partials)
+    )
 
 
 def laplacian(fn: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -> float:

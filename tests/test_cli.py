@@ -234,6 +234,17 @@ def test_decompose_endo(monkeypatch, capsys):
     assert abs(data["S"][0][2] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("missing", ["mode", "rows"])
+def test_decompose_endo_names_a_missing_key(monkeypatch, capsys, missing):
+    payload = {"mode": "float", "rows": [[0.0] * 6 for _ in range(6)]}
+    del payload[missing]
+    assert run(["decompose", "--kind", "endo"], json.dumps(payload), monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "endomorphism object needs 'mode' and 'rows'" in captured.err
+    assert repr(missing) in captured.err
+
+
 def test_decompose_bad_blade(monkeypatch, capsys):
     payload = json.dumps({"mode": "exact", "terms": [{"blade": "e17", "coeff": "1"}]})
     assert run(["decompose", "--kind", "2form"], payload, monkeypatch) == 2

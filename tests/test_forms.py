@@ -182,13 +182,14 @@ def test_contraction_drops_degree():
 
 
 def test_contraction_is_antiderivation():
-    for a in BASIS_BLADES:
-        sign = -1 if a.degree & 1 else 1
-        for x in BASIS_VECTORS:
-            x_a = contract(x, a)
-            for b in BASIS_BLADES:
-                lhs = contract(x, wedge(a, b))
-                assert lhs == wedge(x_a, b) + wedge(a, contract(x, b)).scale(sign)
+    a_b = [[wedge(a, b) for b in BASIS_BLADES] for a in BASIS_BLADES]
+    for x in BASIS_VECTORS:
+        # x -| b for every blade b, which is also x -| a
+        x_b = [contract(x, b) for b in BASIS_BLADES]
+        for a, x_a, ab_row in zip(BASIS_BLADES, x_b, a_b):
+            sign = -1 if a.degree & 1 else 1
+            for b, xb, ab in zip(BASIS_BLADES, x_b, ab_row):
+                assert contract(x, ab) == wedge(x_a, b) + wedge(a, xb).scale(sign)
 
 
 def test_contractions_anticommute():

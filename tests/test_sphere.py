@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -442,6 +443,35 @@ def test_operator_on_a_point_equals_it_on_the_frame(name):
     assert np.array_equal(op(q), op(frame))
 
 
+def test_fields_sharing_a_stencil_equal_one_field_calls():
+    rng = np.random.default_rng(37)
+    phif, _, lam_field, _, s_pp, _ = suites._cl_fields(
+        rng.standard_normal(21), rng.standard_normal((7, 7))
+    )
+    fields = (
+        lam_field,
+        sp.omega_field(),
+        sp.psi_minus_field(),
+        sphere_deformation(np.eye(7)[2]).xi_omega_sq,
+    )
+    assert [field.degree for field in fields] == [0, 2, 3, 5]
+    pair = (phif, s_pp)
+    for q in POINTS[:3]:
+        frame = sp.adapted_frame(q)
+        x = frame.matrix @ rng.standard_normal(6)
+        for h in (1e-3, 5e-4):
+            ops = (
+                (fields, lambda f: sp.ext_d(f, frame, h)),
+                (pair, lambda f: sp.covariant_d(f, x, frame, h)),
+                (pair, lambda f: sp.codifferential(f, frame, h)),
+            )
+            for shared_fields, op in ops:
+                shared = op(shared_fields)
+                assert isinstance(shared, tuple) and len(shared) == len(shared_fields)
+                for field, value in zip(shared_fields, shared):
+                    assert np.array_equal(value, op(field))
+
+
 def test_turn_off_the_frame_is_caught(monkeypatch):
     # with two columns of the turn swapped, _TURN_BACK no longer undoes it,
     # so ext_d reports its result in the wrong basis
@@ -460,7 +490,7 @@ def _minors_oracle(v: np.ndarray, k: int) -> np.ndarray:
     n, m = v.shape
     return np.array(
         [
-            [det_oracle(v[np.ix_(rows, cols)].tolist()) if k else 1.0
+            [det_oracle(v[np.ix_(rows, cols)].tolist()) if k else 1
              for cols in combinations(range(m), k)]
             for rows in combinations(range(n), k)
         ]
@@ -476,6 +506,24 @@ def test_compound_and_pullback_match_permutation_determinants(shape):
         assert np.abs(sp.compound(v, k) - expected).max() < 1e-12
         coeffs = rng.standard_normal(expected.shape[0])
         assert np.abs(sp.pullback_form(coeffs, k, v) - coeffs @ expected).max() < 1e-12
+
+
+def test_compound_takes_the_dtype_of_its_input():
+    rng = np.random.default_rng(23)
+    v = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+    exact = np.array(
+        [[Fraction(int(n), int(d)) for n, d in zip(row, den)]
+         for row, den in zip(rng.integers(-9, 10, (7, 6)), rng.integers(1, 10, (7, 6)))],
+        dtype=object,
+    )
+    for k in range(7):
+        minors = sp.compound(v, k)
+        assert minors.dtype == complex
+        assert np.abs(minors - _minors_oracle(v, k)).max() < 1e-12
+        minors = sp.compound(exact, k)
+        assert minors.dtype == object
+        assert all(isinstance(x, (int, Fraction)) for x in minors.flat)
+        assert minors.tolist() == _minors_oracle(exact, k).tolist()
 
 
 def test_batched_pullback_equals_single_calls():

@@ -234,3 +234,54 @@ def test_basis_merge_keeps_failing_directions(monkeypatch):
     nan_fail = checks["five_form_vs_volume"]
     assert nan_fail.max_residual != nan_fail.max_residual and not nan_fail.passed
     assert checks["d_psi_minus_dot_vs_omega_dot_wedge"].passed
+
+
+def _stencil_reports() -> list[str]:
+    return [
+        verify_gray(samples=2).to_json(),
+        verify_linearized_basis(samples=1).to_json(),
+        verify_cl_identities(samples=2).to_json(),
+    ]
+
+
+def test_reports_equal_with_one_field_per_stencil(monkeypatch):
+    from su3forms import sphere as sp
+
+    shared = _stencil_reports()
+    real = sp._derivatives
+    widths = []
+
+    def one_at_a_time(fields, *args):
+        widths.append(len(fields))
+        return [real((field,), *args)[0] for field in fields]
+
+    monkeypatch.setattr(sp, "_derivatives", one_at_a_time)
+    assert _stencil_reports() == shared
+    # the suites did hand several fields to one call
+    assert max(widths) > 1
+
+
+@pytest.mark.parametrize("stale_points", [True, False], ids=["points-and-minors", "minors"])
+def test_stale_step_stencil_is_caught(monkeypatch, stale_points):
+    # a per-frame stencil cache keyed without the step: the fields at h/2
+    # take the minors of the h stencil's projected basis, and with
+    # stale_points they are evaluated at its points too
+    from su3forms import sphere as sp
+
+    real = sp._stencil
+    kept: dict[tuple[bytes, bytes], tuple] = {}
+
+    def stale(p, x, h, basis=None):
+        fresh = real(p, x, h, basis)
+        old = kept.setdefault((p.tobytes(), x.tobytes()), fresh)
+        return (old if stale_points else fresh)[0], old[1]
+
+    assert verify_gray(samples=2).all_passed
+    assert verify_linearized_basis(samples=1).all_passed
+    monkeypatch.setattr(sp, "_stencil", stale)
+    assert not verify_gray(samples=2).all_passed
+    if stale_points:
+        assert not verify_linearized_basis(samples=1).all_passed
+    # stale minors alone move ext_d by roundoff only: along b_j the step
+    # changes only column j of the projected basis, and du^j ^ drops every
+    # term that column enters; covariant_d along x sees them
