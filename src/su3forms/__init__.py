@@ -45,7 +45,6 @@ from su3forms.identities import run_algebra_suite
 #: the S^6 suites need numpy, which the flat kernel and its identity suite do
 #: not; they are imported on first use, so algebra-only use never loads numpy
 _SPHERE_SUITES = (
-    "sphere_deformation",
     "verify_cl_identities",
     "verify_gray",
     "verify_linearized",
@@ -95,7 +94,6 @@ __all__ = [
     "psi_minus",
     "psi_plus",
     "run_algebra_suite",
-    "sphere_deformation",
     "type_project",
     "verify_cl_identities",
     "verify_gray",

@@ -25,7 +25,6 @@ from su3forms.forms import (
     coerce_scalar,
     contract,
     inner,
-    scalar_zero,
     wedge,
 )
 from su3forms.structure import (
@@ -70,8 +69,9 @@ class DeformationParams:
     """Pointwise deformation data (xi, S, phi, mu).
 
     xi: vector part (degree-1 form); s: symmetric J-anticommuting endo;
-    phi: J-invariant 2-form; mu: scalar.  lam and the symmetric J-commuting
-    endomorphism h attached to phi are derived.
+    phi: J-invariant 2-form; mu: scalar.  The symmetric J-commuting
+    endomorphism h attached to phi is derived, and `params_to_jet` takes
+    lam = tr(h) / 4 from it.
     """
 
     xi: Form
@@ -86,10 +86,6 @@ class DeformationParams:
     @property
     def h(self) -> Endo:
         return sym_plus_from_two_form(self.phi)
-
-    @property
-    def lam(self) -> Scalar:
-        return self.h.trace() / coerce_scalar(4, self.mode)
 
     def validate(self) -> None:
         modes = {self.xi.mode, self.s.mode, self.phi.mode}
@@ -108,12 +104,6 @@ class DeformationParams:
         phi_err = (self.phi - type_project(self.phi, 1, 1)).max_norm()
         if gate_fails(phi_err, self.mode):
             raise InvalidParamsError(f"phi is not J-invariant: residual {phi_err}")
-
-    @classmethod
-    def zero(cls, mode: str) -> "DeformationParams":
-        return cls(
-            Form.zero(mode), Endo.zero(mode), Form.zero(mode), scalar_zero(mode)
-        )
 
 
 @dataclass(frozen=True)

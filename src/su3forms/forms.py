@@ -254,13 +254,6 @@ class Form:
         mask = blade_from_name(spec) if isinstance(spec, str) else spec
         return cls(mode, {mask: coeff})
 
-    @classmethod
-    def vector(cls, components: Sequence, mode: str) -> "Form":
-        """Degree-1 form from 6 components (vectors and covectors identified)."""
-        if len(components) != DIM:
-            raise ValueError(f"expected {DIM} components, got {len(components)}")
-        return cls(mode, {1 << i: c for i, c in enumerate(components)})
-
     # -- inspection ----------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[int, Scalar]]:
@@ -288,11 +281,6 @@ class Form:
             raise DegreeError(f"form has mixed degrees {degs}")
         return degs[0]
 
-    def homogeneous_part(self, k: int) -> "Form":
-        return Form._trusted(
-            self.mode, {m: v for m, v in self._c.items() if blade_degree(m) == k}
-        )
-
     def is_zero(self, tol: float | None = None) -> bool:
         if self.mode == EXACT:
             return not self._c
@@ -301,12 +289,6 @@ class Form:
 
     def max_norm(self) -> Scalar:
         return _max_abs(self._c.values(), self.mode)
-
-    def to_float(self) -> "Form":
-        """Float-mode copy (the exact-to-float direction is the safe one)."""
-        if self.mode == FLOAT:
-            return self
-        return Form._trusted(FLOAT, {m: float(v) for m, v in self._c.items()})
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -23,8 +23,10 @@ from su3forms.deformation import (
 )
 from su3forms.forms import (
     EXACT,
+    MODES,
     AlgebraError,
     Form,
+    ModeError,
     coerce_scalar,
     contract,
     evaluate,
@@ -386,9 +388,12 @@ def run_algebra_suite(
     field is null (no discretization is involved) and samples carries the
     trial count.  A NaN residual stays the worst one, so its check fails;
     a check that raises an AlgebraError (a decomposition's residual guard,
-    say) records NaN for that trial, and the suite goes on.
+    say) records NaN for that trial, and the suite goes on.  An unknown mode
+    raises ModeError before the first trial.
     """
     require_count("trials", trials)
+    if mode not in MODES:
+        raise ModeError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     ledger = Ledger()
     for _ in range(trials):

@@ -34,9 +34,6 @@ from su3forms.structure import (
 PYTHAGOREAN_PAIRS = (
     (Fraction(3, 5), Fraction(4, 5)),
     (Fraction(5, 13), Fraction(12, 13)),
-    (Fraction(8, 17), Fraction(15, 17)),
-    (Fraction(20, 29), Fraction(21, 29)),
-    (Fraction(7, 25), Fraction(24, 25)),
 )
 
 #: unordered pairs of complex coordinate lines (0-based)
@@ -133,7 +130,7 @@ def line_mix(line_a: int, line_b: int, c: Fraction, s: Fraction) -> Endo:
 def su3_generators() -> tuple[Endo, ...]:
     gens = []
     for a, b in _LINE_PAIRS:
-        for c, s in PYTHAGOREAN_PAIRS[:2]:
+        for c, s in PYTHAGOREAN_PAIRS:
             gens.append(phase_rotation(a, b, c, s))
             gens.append(line_mix(a, b, c, s))
     return tuple(gens)

@@ -406,8 +406,8 @@ def psi_minus_field() -> FormField:
 
 
 def _check_step(h: float) -> None:
-    if not h > MIN_STEP:
-        raise ValueError(f"step {h} under the cancellation guard {MIN_STEP}")
+    if not MIN_STEP < h < np.inf:
+        raise ValueError(f"step {h} is not finite or is under the cancellation guard {MIN_STEP}")
 
 
 def _stencil(p: np.ndarray, x: np.ndarray, h: float, basis: np.ndarray | None = None):

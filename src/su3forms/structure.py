@@ -322,11 +322,6 @@ def complex_structure(mode: str = EXACT) -> Endo:
     return Endo(mode, _J_ROWS)
 
 
-def basis_vector(i: int, mode: str = EXACT) -> Form:
-    """Degree-1 basis form e^{i+1} (0-based index)."""
-    return Form.blade(1 << i, mode)
-
-
 # ---------------------------------------------------------------------------
 # endomorphism action on forms
 
@@ -477,15 +472,9 @@ def endo_from_two_form(a: Form) -> Endo:
     return Endo._of(a.mode, nums, den)
 
 
-def two_form_from_sym_plus(h: Endo) -> Form:
-    """The (1,1)-form phi(X, Y) = g(hJX, Y) of a J-commuting symmetric h.
-
-    The identity maps to omega; the inverse is `sym_plus_from_two_form`.
-    """
-    return two_form_from_endo(j_compose_right(h))
-
-
 def sym_plus_from_two_form(phi: Form) -> Endo:
+    """The J-commuting symmetric h with phi(X, Y) = g(hJX, Y), for a (1,1)-form
+    phi; omega maps to the identity."""
     return -j_compose_right(endo_from_two_form(phi))
 
 

@@ -176,7 +176,6 @@ class DeformationBundle:
     of the structure.
     """
 
-    a: np.ndarray
     mu: Callable[[np.ndarray], np.ndarray]
     xi: Callable[[np.ndarray], np.ndarray]
     omega_dot: sp.FormField
@@ -213,7 +212,6 @@ def sphere_deformation(a: np.ndarray) -> DeformationBundle:
         return sp.wedge_ambient(xi(q), 1, sp.wedge_ambient(om, 2, om, 2), 4)
 
     return DeformationBundle(
-        a,
         mu,
         xi,
         sp.FormField(2, omega_dot),
@@ -293,12 +291,14 @@ def verify_linearized(
     under the plain scheme); orders come from the plain values.
 
     defect="scale_psi_plus_dot" multiplies psi_plus_dot by 1.1.  Raises
-    ValueError for a zero or non-finite a.
+    ValueError for a zero or non-finite a, or one whose shape is not (7,).
     """
     require_count("samples", samples)
     # a zero direction gives zero fields, whose residuals are 0 and would pass
-    if not (np.isfinite(a).all() and np.any(a)):
-        raise ValueError(f"direction must be finite and nonzero, got {a}")
+    if not (np.shape(a) == (7,) and np.isfinite(a).all() and np.any(a)):
+        raise ValueError(
+            f"direction must be finite and nonzero of shape (7,), got {a} of shape {np.shape(a)}"
+        )
     checks = _linearized_checks(a, _frames(seed, samples), h, defect)
     return VerificationReport("linearized", h, samples, seed, (*checks, _span_check(seed)))
 

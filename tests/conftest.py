@@ -73,7 +73,7 @@ def draw_form(rng: random.Random, mode: str = EXACT) -> Form:
 
 
 def draw_vector(rng: random.Random, mode: str = EXACT) -> Form:
-    return Form.vector([draw_scalar(rng, mode) for _ in range(DIM)], mode)
+    return Form(mode, {1 << i: draw_scalar(rng, mode) for i in range(DIM)})
 
 
 def draw_matrix(rng: random.Random, bound: int) -> list[list[int]]:

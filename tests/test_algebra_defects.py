@@ -291,6 +291,15 @@ def test_nan_survives_the_norms():
     assert identities._worst(forms.Form("float", {1: 0.5}), -2.0) == 2.0
 
 
+def test_unknown_algebra_mode_is_rejected_before_any_trial(monkeypatch):
+    def no_work(rng, mode):
+        raise AssertionError("a trial ran in an unknown mode")
+
+    monkeypatch.setattr(identities, "CHECKS", (("none", no_work),))
+    with pytest.raises(forms.ModeError, match="unknown mode 'Exact'"):
+        run_algebra_suite(trials=1, mode="Exact")
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_empty_algebra_run_is_rejected(trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):

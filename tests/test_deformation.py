@@ -64,7 +64,7 @@ def test_scaling_curve_jet():
     assert jet.psi_minus_dot == psi_minus().scale(Fraction(3, 2))
     assert jet.g_dot == Endo.identity(EXACT)
     assert jet.j_dot.max_norm() == 0
-    assert params.lam == Fraction(3, 2)
+    assert params.h.trace() / 4 == Fraction(3, 2)
 
 
 def test_phase_curve_jet():
@@ -103,7 +103,9 @@ def test_pure_xi_jet_coherence():
 
 
 def test_zero_params_zero_jet():
-    jet = params_to_jet(DeformationParams.zero(EXACT))
+    jet = params_to_jet(
+        DeformationParams(Form.zero(EXACT), Endo.zero(EXACT), Form.zero(EXACT), Fraction(0))
+    )
     assert jet.omega_dot.is_zero()
     assert jet.psi_plus_dot.is_zero()
     assert jet.psi_minus_dot.is_zero()
@@ -268,15 +270,15 @@ def test_tampered_g_dot_breaks_metric_compatibility(mode):
 
 
 def test_lam_is_quarter_trace():
-    # all three sides are linear in (xi, S, phi, mu), so a basis of each part,
-    # with the other parts zero, proves it; the (1,1) parts of the 2-blades
-    # span the J-invariant 2-forms
-    zero = DeformationParams.zero(EXACT)
+    # lam = tr(h) / 4, as params_to_jet takes it, equals Lambda(phi) / 2; both
+    # sides are linear in (xi, S, phi, mu), so a basis of each part, with the
+    # other parts zero, proves it; the (1,1) parts of the 2-blades span the
+    # J-invariant 2-forms
+    zero = DeformationParams(Form.zero(EXACT), Endo.zero(EXACT), Form.zero(EXACT), Fraction(0))
     for p in (
         *(replace(zero, xi=x) for x in BASIS_VECTORS),
         *(replace(zero, s=s) for s in sym_minus_basis()),
         *(replace(zero, phi=type_project(b, 1, 1)) for b in blades_by_degree(2)),
         replace(zero, mu=Fraction(1)),
     ):
-        assert p.lam == p.h.trace() / 4
-        assert p.lam == lefschetz_contract(p.phi).coeff(0) / 2
+        assert p.h.trace() / 4 == lefschetz_contract(p.phi).coeff(0) / 2

@@ -19,19 +19,6 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_run_verification_writes_every_report(tmp_path):
-    proc = run_script(
-        "run_verification.py",
-        "--skip-exact", "--trials", "1", "--samples", "1", "--cl-samples", "1",
-        "--outdir", str(tmp_path),
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert sorted(p.name for p in tmp_path.glob("*.json")) == [
-        "algebra-float.json", "cl-identities.json", "gray.json",
-        "linearized.json", "spectral.json",
-    ]
-
-
 def test_convergence_study_prints_every_sweep():
     proc = run_script("convergence_study.py", "--samples", "1", "--rungs", "2")
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the stdlib `ast` alone: no
 unused module-level import, no private module-level function or class that
-nothing calls, no export that fails to resolve, and no import of a package
-the project does not declare."""
+nothing calls, no public definition that only tests call, no export that
+fails to resolve, and no import of a package the project does not
+declare."""
 
 from __future__ import annotations
 
@@ -106,6 +107,44 @@ def test_every_private_definition_is_referenced():
             elsewhere = (_names(t, skip=stmt if p == path else None) for p, t in trees.items())
             if not any(name in names for names in elsewhere):
                 unused.append(f"{path.name}:{name}")
+    assert unused == []
+
+
+def _public_definitions(tree: ast.Module):
+    """Public module-level functions and classes, and the public methods of
+    those classes."""
+    for stmt in _module_level(tree):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt
+        if isinstance(stmt, ast.ClassDef):
+            yield from (s for s in stmt.body if isinstance(s, ast.FunctionDef))
+
+
+def test_every_public_definition_is_referenced():
+    """Every public function, class or method of `src/`, `scripts/` or
+    `perfbench/` is named somewhere in those trees outside its own
+    definition.  `__init__.py` re-exports and test modules do not count as
+    callers.  The match is by name only, so same-named definitions hide each
+    other: a `Form.to_float` that only tests call would pass, because
+    `Endo.to_float` is called, and so would a `DeformationParams.zero` or
+    `DeformationParams.lam`, hidden by `Form.zero` and `ThreeFormParts.lam`."""
+    sources = sorted(
+        p
+        for d in ("src", "scripts", "perfbench")
+        for p in (ROOT / d).rglob("*.py")
+        if p.name != "__init__.py" and not p.name.startswith("test_")
+    )
+    trees = {path: _tree(path) for path in sources}
+    names = {path: _names(tree) for path, tree in trees.items()}
+    unused = []
+    for path, tree in trees.items():
+        elsewhere = set().union(*(n for p, n in names.items() if p != path))
+        for stmt in _public_definitions(tree):
+            name = stmt.name
+            if name.startswith("_") or name in elsewhere:
+                continue
+            if name not in _names(tree, skip=stmt):
+                unused.append(f"{path.relative_to(ROOT)}:{name}")
     assert unused == []
 
 

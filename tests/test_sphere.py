@@ -159,7 +159,7 @@ def test_covariant_derivative_relations():
         f = sp.adapted_frame(q).matrix
         x = f @ rng.standard_normal(6)
         x /= np.linalg.norm(x)
-        xf = Form.vector(list(f.T @ x), FLOAT)
+        xf = Form(FLOAT, {1 << i: c for i, c in enumerate(f.T @ x)})
         x_pp = coeffs(contract(xf, psi_plus(FLOAT)), 2)
         x_om = coeffs(wedge(xf, omega(FLOAT)), 3)
         r1 = max_abs(sp.covariant_d(ofield, x, q, 1e-3) - x_pp)
@@ -226,7 +226,7 @@ def test_deformation_bundle_matches_flat_jet():
         f = sp.adapted_frame(q).matrix
         xi_frame = f.T @ bundle.xi(q)
         params = DeformationParams(
-            xi=Form.vector(list(xi_frame), FLOAT),
+            xi=Form(FLOAT, {1 << i: c for i, c in enumerate(xi_frame)}),
             s=Endo.zero(FLOAT),
             phi=Form.zero(FLOAT),
             mu=float(bundle.mu(q)),
@@ -429,7 +429,7 @@ def _operators(h: float = 1e-3) -> dict:
 @pytest.mark.parametrize("name", list(_operators()))
 def test_step_guard(name):
     # every operator places its points through the one guarded stencil
-    for h in (1e-8, 0.0):
+    for h in (1e-8, 0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             _operators(h)[name](POINTS[0])
 

@@ -48,7 +48,6 @@ from su3forms.structure import (
     TYPE_EIGENVALUES,
     Endo,
     alpha_map,
-    basis_vector,
     complex_structure,
     decompose_anti_endo,
     decompose_three_form,
@@ -65,7 +64,7 @@ from su3forms.structure import (
     sym_minus_combination,
     sym_minus_residual,
     sym_plus_from_two_form,
-    two_form_from_sym_plus,
+    two_form_from_endo,
     type_project,
     vector_cross_endo,
     volume_form,
@@ -76,6 +75,8 @@ OMEGA = omega()
 PSI_P = psi_plus()
 PSI_M = psi_minus()
 VOL = volume_form()
+#: the unit vectors e1..e6
+UNIT = tuple(Form.blade(1 << i, EXACT) for i in range(DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +107,7 @@ def test_psi_minus_is_star_of_psi_plus():
 def test_omega_is_metric_composed_with_j():
     for x in range(DIM):
         for y in range(DIM):
-            ex, ey = basis_vector(x), basis_vector(y)
-            assert evaluate(OMEGA, ex, ey) == J.rows[y][x]
+            assert evaluate(OMEGA, UNIT[x], UNIT[y]) == J.rows[y][x]
 
 
 def test_complex_volume_form_expands_to_psi_pair():
@@ -116,7 +116,7 @@ def test_complex_volume_form_expands_to_psi_pair():
     zero = Form.zero(EXACT)
     re, im = one, zero
     for k in range(3):
-        zr, zi = basis_vector(2 * k), basis_vector(2 * k + 1)
+        zr, zi = UNIT[2 * k], UNIT[2 * k + 1]
         re, im = wedge(re, zr) - wedge(im, zi), wedge(re, zi) + wedge(im, zr)
     assert re == PSI_P
     assert im == PSI_M
@@ -124,11 +124,10 @@ def test_complex_volume_form_expands_to_psi_pair():
 
 def test_psi_minus_from_psi_plus_via_j():
     # trilinear, so holding on every triple of basis vectors proves it
-    basis = [basis_vector(i) for i in range(DIM)]
-    for x in basis:
+    for x in UNIT:
         jx = J.apply(x)
-        for y in basis:
-            for z in basis:
+        for y in UNIT:
+            for z in UNIT:
                 assert evaluate(PSI_M, x, y, z) == -evaluate(PSI_P, jx, y, z)
 
 
@@ -225,9 +224,10 @@ def test_projection_eigenvalues():
 @pytest.mark.parametrize("k", range(DIM + 1))
 def test_float_projections_match_the_exact_ones(k):
     u = random_form(random.Random(k), k)
+    u_float = Form(FLOAT, {m: float(v) for m, v in u.terms()})
     for p, q in TYPE_EIGENVALUES[k]:
-        exact = type_project(u, p, q).to_float()
-        assert type_project(u.to_float(), p, q).isclose(exact)
+        exact = Form(FLOAT, {m: float(v) for m, v in type_project(u, p, q).terms()})
+        assert type_project(u_float, p, q).isclose(exact)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -315,9 +315,8 @@ def test_alpha_kills_j_invariant_forms():
 
 def test_vector_embedding_preserves_inner_product_up_to_two():
     # bilinear, so holding on every pair of basis vectors proves it
-    basis = [basis_vector(i) for i in range(DIM)]
-    for x in basis:
-        for y in basis:
+    for x in UNIT:
+        for y in UNIT:
             assert inner(contract(x, PSI_P), contract(y, PSI_P)) == 2 * inner(x, y)
 
 
@@ -389,12 +388,8 @@ def test_schur_witness_in_sym_minus():
         sj = s @ J
         for x, y in combinations(range(DIM), 2):
             z = next(i for i in range(DIM) if i not in (x, y))
-            lhs = evaluate(
-                PSI_P, sj.apply(basis_vector(x)), basis_vector(y), basis_vector(z)
-            )
-            rhs = evaluate(
-                PSI_P, basis_vector(x), sj.apply(basis_vector(y)), basis_vector(z)
-            )
+            lhs = evaluate(PSI_P, sj.apply(UNIT[x]), UNIT[y], UNIT[z])
+            rhs = evaluate(PSI_P, UNIT[x], sj.apply(UNIT[y]), UNIT[z])
             if lhs != rhs:
                 found = (s, x, y, z, lhs, rhs)
                 break
@@ -481,7 +476,7 @@ def test_sym_minus_part_inverts_each_basis_image():
 
 
 def test_other_modules_have_zero_sym_minus_part():
-    others = [wedge(basis_vector(i), OMEGA) for i in range(DIM)] + [PSI_P, PSI_M]
+    others = [wedge(x, OMEGA) for x in UNIT] + [PSI_P, PSI_M]
     for u in others:
         assert decompose_three_form(u).s == Endo.zero(EXACT)
 
@@ -496,9 +491,9 @@ def test_anti_endo_decomposition():
         assert s_out == s
         assert xi_out == xi
     # pure cases
-    s_out, xi_out = decompose_anti_endo(vector_cross_endo(basis_vector(0)))
+    s_out, xi_out = decompose_anti_endo(vector_cross_endo(UNIT[0]))
     assert s_out.max_norm() == 0
-    assert xi_out == basis_vector(0)
+    assert xi_out == UNIT[0]
     s = random_sym_minus(rng)
     s_out, xi_out = decompose_anti_endo(s)
     assert s_out == s
@@ -567,7 +562,7 @@ def _check_endo_arithmetic(rng: random.Random, mode: str) -> None:
     ):
         assert got.rows == _as_rows(expected)
         assert got == Endo(mode, expected)
-    image = a.apply(Form.vector(x, mode)).components()
+    image = a.apply(Form(mode, {1 << i: c for i, c in enumerate(x)})).components()
     if mode == EXACT:
         assert a.trace() == trace_oracle(ra)
         assert image == matvec_oracle(ra, x)
@@ -636,12 +631,12 @@ def test_j_compositions_match_matrix_products():
 
 
 def test_sym_plus_two_form_correspondence():
-    assert two_form_from_sym_plus(Endo.identity(EXACT)) == OMEGA
+    assert two_form_from_endo(j_compose_right(Endo.identity(EXACT))) == OMEGA
     assert sym_plus_from_two_form(OMEGA) == Endo.identity(EXACT)
     rng = random.Random(26)
     for _ in range(10):
         h = random_sym_plus(rng)
-        phi = two_form_from_sym_plus(h)
+        phi = two_form_from_endo(j_compose_right(h))
         assert type_project(phi, 1, 1) == phi
         assert sym_plus_from_two_form(phi) == h
         assert lefschetz_contract(phi).coeff(0) == h.trace() / 2

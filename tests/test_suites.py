@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,10 @@ def test_zero_or_non_finite_direction_is_rejected(monkeypatch, component):
     monkeypatch.setattr("su3forms.suites._linearized_checks", no_work)
     with pytest.raises(ValueError, match="finite and nonzero"):
         verify_linearized(a, samples=2)
+    # so is one of the wrong shape, with the shape named
+    for shape in ((6,), (7, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"of shape {shape}")):
+            verify_linearized(np.ones(shape), samples=2)
 
 
 def test_unknown_defect_rejected():
