@@ -48,7 +48,7 @@ S6_SUITES = ("gray", "linearized", "spectral", "cl", "all")
 def _emit(report: VerificationReport, out: str | None) -> int:
     for line in report.summary_lines():
         print(line)
-    if out:
+    if out is not None:
         try:
             with open(out, "w") as fh:
                 fh.write(report.to_json() + "\n")
@@ -188,8 +188,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_report_path(parser: argparse.ArgumentParser, out: str | None) -> None:
     """Reject an --out that cannot be written, before any suite runs."""
-    if not out:
+    if out is None:
         return
+    if not out:
+        parser.error("report path is empty")
     if os.path.isdir(out):
         parser.error(f"report path {out} is a directory")
     folder = os.path.dirname(os.path.abspath(out))

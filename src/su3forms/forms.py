@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isnan, nan
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 DIM = 6
 N_BLADES = 1 << DIM
@@ -350,30 +350,6 @@ class Form:
             return f"Form({self.mode}, 0)"
         parts = [f"{v!s}*{blade_name(m)}" for m, v in sorted(self._c.items())]
         return f"Form({self.mode}, {' + '.join(parts)})"
-
-    # -- linear substitution -------------------------------------------------
-
-    def pullback(self, matrix: Sequence[Sequence]) -> "Form":
-        """Pullback along the linear map with the given 6x6 matrix M.
-
-        Returns the form u' with u'(v_1, ..., v_k) = u(M v_1, ..., M v_k).
-        The covector e^i pulls back to row i of M, and pullback is an algebra
-        map, so each blade's image is the wedge of those rows.
-        """
-        rows = [[coerce_scalar(x, self.mode) for x in row] for row in matrix]
-        if len(rows) != DIM or any(len(r) != DIM for r in rows):
-            raise ValueError("pullback expects a 6x6 matrix")
-        covectors = [
-            Form._trusted(self.mode, {1 << j: v for j, v in enumerate(row)})
-            for row in rows
-        ]
-        out: dict[int, Scalar] = {}
-        for mask, value in self._c.items():
-            image = Form._trusted(self.mode, {0: value})
-            for i in blade_indices(mask):
-                image = wedge(image, covectors[i])
-            _add_into(out, image._c.items())
-        return Form._trusted(self.mode, out)
 
     # -- serialization -------------------------------------------------------
 

@@ -2,9 +2,12 @@
 
 Every check draws fresh random inputs (rational in exact mode, standard
 normal in float mode) and returns the worst residual over its family of
-identities.  Exact-mode residuals must vanish identically; float mode is
-held to 1e-12 in coefficient max-norm.  `run_algebra_suite` loops the whole
-registry and keeps per-check worst cases in a `Ledger`.
+identities.  Every check is multilinear in its random inputs, or has none;
+`su3_invariance` is linear in its random element of su(3), which acts on
+the structure through `endo_act`.  Exact-mode residuals must vanish
+identically; float mode is held to 1e-12 in coefficient max-norm.
+`run_algebra_suite` loops the whole registry and keeps per-check worst
+cases in a `Ledger`.
 """
 
 from __future__ import annotations
@@ -231,14 +234,12 @@ def three_form_contraction(rng, mode):
 
 
 def su3_invariance(rng, mode):
-    r = sampling.random_su3_rotation(rng)
-    if mode != EXACT:
-        r = r.to_float()
+    a = sampling.random_su3(rng, mode)
     j = complex_structure(mode)
     return _worst(
-        sampling.rotate_form(r, omega(mode)) - omega(mode),
-        sampling.rotate_form(r, psi_plus(mode)) - psi_plus(mode),
-        sampling.rotate_endo(r, j) - j,
+        endo_act(a, omega(mode)),
+        endo_act(a, psi_plus(mode)),
+        a @ j - j @ a,
     )
 
 

@@ -5,11 +5,10 @@ can be checked as an equality of rationals; float mode draws standard
 normals.  All generators take a `random.Random` so runs are reproducible
 from a single seed.
 
-Also provides exact-rational rotations preserving the standard SU(3)
-structure, built from Pythagorean cosine/sine pairs: phase rotations of two
-complex coordinate lines in opposite directions and real mixes of two
-complex lines.  Products of these stay in SU(3) exactly, which makes the
-equivariance tests exact as well.
+Also provides a spanning set of the Lie algebra su(3) with integer
+entries, and random elements drawn on it.  The derivation action `endo_act`
+is a representation of gl(6), so invariance under a spanning set of su(3)
+is invariance under the connected group SU(3).
 """
 
 from __future__ import annotations
@@ -28,12 +27,6 @@ from su3forms.structure import (
     sym_minus_basis,
     sym_minus_combination,
     type_project,
-)
-
-#: (cos, sin) pairs with c^2 + s^2 = 1 exactly.
-PYTHAGOREAN_PAIRS = (
-    (Fraction(3, 5), Fraction(4, 5)),
-    (Fraction(5, 13), Fraction(12, 13)),
 )
 
 #: unordered pairs of complex coordinate lines (0-based)
@@ -89,66 +82,43 @@ def random_j_invariant_two_form(rng: random.Random, mode: str = EXACT) -> Form:
 def random_primitive_two_form(rng: random.Random, mode: str = EXACT) -> Form:
     a = random_j_invariant_two_form(rng, mode)
     trace = lefschetz_contract(a).coeff(0)
-    return a - omega(mode).scale(trace / 3 if mode == EXACT else trace / 3.0)
+    return a - omega(mode).scale(trace / 3)
 
 
 # ---------------------------------------------------------------------------
-# exact SU(3) rotations
-
-
-def _block_rotation(plane: int, c: Fraction, s: Fraction) -> list[list[Fraction]]:
-    """Rotation by (c, s) in the real plane of complex line `plane`."""
-    rows = [[Fraction(1 if i == j else 0) for j in range(DIM)] for i in range(DIM)]
-    x, y = 2 * plane, 2 * plane + 1
-    rows[x][x], rows[x][y] = c, -s
-    rows[y][x], rows[y][y] = s, c
-    return rows
-
-
-def phase_rotation(line_a: int, line_b: int, c: Fraction, s: Fraction) -> Endo:
-    """Rotate complex line a by an angle and line b by its negative.
-
-    Complex determinant 1 by construction, so the standard structure is
-    preserved exactly.
-    """
-    rows_a = _block_rotation(line_a, c, s)
-    rows_b = _block_rotation(line_b, c, -s)
-    return Endo(EXACT, rows_a) @ Endo(EXACT, rows_b)
-
-
-def line_mix(line_a: int, line_b: int, c: Fraction, s: Fraction) -> Endo:
-    """Real SU(2) mix of two complex lines: z_a' = c z_a + s z_b."""
-    rows = [[Fraction(1 if i == j else 0) for j in range(DIM)] for i in range(DIM)]
-    for off in range(2):
-        ia, ib = 2 * line_a + off, 2 * line_b + off
-        rows[ia][ia], rows[ia][ib] = c, s
-        rows[ib][ia], rows[ib][ib] = -s, c
-    return Endo(EXACT, rows)
+# the Lie algebra su(3)
 
 
 @cache
-def su3_generators() -> tuple[Endo, ...]:
+def su3_spanning_set(mode: str = EXACT) -> tuple[Endo, ...]:
+    """Nine skew endomorphisms spanning the 8-dimensional su(3).
+
+    Written out from z_j = e_{2j-1} + i e_{2j} rather than read from the
+    matrix of J, so that a defect in the structure tables still shows.  For
+    each pair of complex lines a < b, with real coordinates x and imaginary
+    y, three elements given by their (row, column, value) entries above the
+    diagonal: the real mix of z_a and z_b, the imaginary mix, and the phase
+    rotation of z_a against z_b.  The three phase differences sum to zero,
+    hence rank 8.
+    """
     gens = []
     for a, b in _LINE_PAIRS:
-        for c, s in PYTHAGOREAN_PAIRS:
-            gens.append(phase_rotation(a, b, c, s))
-            gens.append(line_mix(a, b, c, s))
+        xa, ya, xb, yb = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
+        for entries in (
+            ((xa, xb, 1), (ya, yb, 1)),
+            ((xa, yb, -1), (ya, xb, 1)),
+            ((xa, ya, -1), (xb, yb, 1)),
+        ):
+            rows = [[0] * DIM for _ in range(DIM)]
+            for i, j, v in entries:
+                rows[i][j], rows[j][i] = v, -v
+            gens.append(Endo(mode, rows))
     return tuple(gens)
 
 
-def random_su3_rotation(rng: random.Random) -> Endo:
-    """Product of two random exact generators; stays in SU(3) exactly."""
-    gens = su3_generators()
-    out = Endo.identity(EXACT)
-    for _ in range(2):
-        out = out @ gens[rng.randrange(len(gens))]
+def random_su3(rng: random.Random, mode: str = EXACT) -> Endo:
+    """Random combination of `su3_spanning_set`, one scalar per element."""
+    out = Endo.zero(mode)
+    for x in su3_spanning_set(mode):
+        out = out + x.scale(sample_scalar(rng, mode))
     return out
-
-
-def rotate_form(r: Endo, u: Form) -> Form:
-    """Left action of a rotation on forms, (r . u)(X, ...) = u(r^T X, ...)."""
-    return u.pullback(r.transpose().rows)
-
-
-def rotate_endo(r: Endo, a: Endo) -> Endo:
-    return r @ a @ r.transpose()

@@ -128,10 +128,6 @@ class Endo:
     def zero(cls, mode: str) -> "Endo":
         return cls(mode, [[0] * DIM for _ in range(DIM)])
 
-    @classmethod
-    def identity(cls, mode: str) -> "Endo":
-        return cls(mode, [[1 if i == j else 0 for j in range(DIM)] for i in range(DIM)])
-
     def flat(self) -> tuple[Scalar, ...]:
         """The 36 entries row by row, as scalars of the mode."""
         if self.mode == FLOAT:
@@ -239,13 +235,6 @@ class Endo:
 
     def __repr__(self) -> str:
         return f"Endo({self.mode}, {[list(map(str, row)) for row in self.rows]})"
-
-    def to_float(self) -> "Endo":
-        if self.mode == FLOAT:
-            return self
-        # int / int rounds correctly, as float(Fraction) does
-        den = self._den
-        return Endo._of(FLOAT, [x / den for x in self._nums])
 
 
 def _dot(xs: Sequence[Scalar], ys: Sequence[Scalar], zero: Scalar) -> Scalar:

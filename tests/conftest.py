@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from oracles import form_to_tuples, wedge_oracle
+from oracles import form_to_tuples, matmul_oracle, wedge_oracle
 from su3forms.forms import DIM, EXACT, FLOAT, N_BLADES, Form, blades_of_degree, wedge
 from su3forms.structure import Endo
 
@@ -38,6 +38,10 @@ def _elementary_endo(n: int) -> Endo:
 BASIS_ENDOS = tuple(map(_elementary_endo, range(DIM * DIM)))
 
 
+def identity_endo(mode: str = EXACT) -> Endo:
+    return Endo(mode, [[int(i == j) for j in range(DIM)] for i in range(DIM)])
+
+
 def blades_by_degree(k: int) -> tuple[Form, ...]:
     return tuple(BASIS_BLADES[m] for m in blades_of_degree(k))
 
@@ -50,6 +54,19 @@ def wedge_oracle_mismatches() -> list[tuple[int, int]]:
         for m, a in enumerate(BASIS_BLADES)
         for n, b in enumerate(BASIS_BLADES)
         if form_to_tuples(wedge(a, b)) != wedge_oracle(a, b)
+    ]
+
+
+def endo_product_mismatches() -> list[tuple[int, int]]:
+    """The index pairs (m, n) on which `Endo.__matmul__` disagrees with the
+    nested-sum oracle, over all 36 x 36 pairs of `BASIS_ENDOS`."""
+    # zero entries as ints, so that the oracle's sums run mostly on ints
+    rows = [[[x or 0 for x in row] for row in a.rows] for a in BASIS_ENDOS]
+    return [
+        (m, n)
+        for m, a in enumerate(BASIS_ENDOS)
+        for n, b in enumerate(BASIS_ENDOS)
+        if list(map(list, (a @ b).rows)) != matmul_oracle(rows[m], rows[n])
     ]
 
 
@@ -70,11 +87,3 @@ def draw_form(rng: random.Random, mode: str = EXACT) -> Form:
     blades = blades_of_degree(rng.randint(0, DIM))
     picked = rng.sample(blades, rng.randint(0, min(6, len(blades))))
     return Form(mode, {m: draw_scalar(rng, mode) for m in picked})
-
-
-def draw_vector(rng: random.Random, mode: str = EXACT) -> Form:
-    return Form(mode, {1 << i: draw_scalar(rng, mode) for i in range(DIM)})
-
-
-def draw_matrix(rng: random.Random, bound: int) -> list[list[int]]:
-    return [[rng.randint(-bound, bound) for _ in range(DIM)] for _ in range(DIM)]

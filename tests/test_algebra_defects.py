@@ -6,12 +6,15 @@ oracle instead), the matrix of J, an entry of the e_i -| psi_plus table
 behind alpha, the (2,0) projection and the S part of a 3-form, or the psi
 lines of the (3,0) projection.  Others corrupt one step of the integer arithmetic of
 `Endo`, which keeps 36 numerators over one denominator: a transpose that
-leaves the entries in place, a product over the wrong denominator, a trace
+leaves the entries in place, a product over the wrong denominator (which
+the suite passes, so it must fail the product oracle instead), a trace
 that forgets the denominator, a sum that does not rescale its second
 operand to the common denominator, and compositions with J that drop the
-sign of its signed permutation.  A wrong eigenvalue of the squared J action corrupts the
-expectation of `type_projector_algebra` instead; `TYPE_EIGENVALUES` feeds
-nothing else but the (p,q) check of `type_project`.  The caches are cleared,
+sign of its signed permutation.  An element of u(3) outside su(3) in the
+spanning set of su(3) must fail `su3_invariance`.  A wrong eigenvalue of
+the squared J action corrupts the expectation of `type_projector_algebra`
+instead; `TYPE_EIGENVALUES` feeds nothing else but the (p,q) check of
+`type_project`.  The caches are cleared,
 the defect is patched in, and a named identity must then fail while it
 passes on the intact kernel: with a nonzero residual, or with the NaN the
 suite records when the residual guard of a decomposition raises inside it.
@@ -26,8 +29,8 @@ from math import gcd
 
 import pytest
 
-from conftest import wedge_oracle_mismatches
-from su3forms import cli, forms, identities, structure
+from conftest import endo_product_mismatches, wedge_oracle_mismatches
+from su3forms import cli, forms, identities, sampling, structure
 from su3forms.identities import run_algebra_suite
 from su3forms.structure import Endo
 
@@ -150,10 +153,29 @@ def _product_over_one_denominator(self: Endo, other: Endo) -> Endo:
     return Endo._of(self.mode, nums, self._den)
 
 
-def test_product_over_the_wrong_denominator_is_caught(fresh_caches, monkeypatch):
+def test_product_over_the_wrong_denominator_is_caught(monkeypatch):
+    # the only products in a trial are A J and J A, whose right operand has
+    # denominator 1, where the defect changes nothing; so the suite passes
+    # it, and the products of basis endomorphisms against the nested-sum
+    # oracle must fail instead
+    assert endo_product_mismatches() == []
+    monkeypatch.setattr(Endo, "__matmul__", _product_over_one_denominator)
+    assert endo_product_mismatches()
+
+
+def test_u3_element_in_the_su3_spanning_set_is_caught(fresh_caches, monkeypatch):
+    # J on the first complex line alone: in u(3), not in su(3), and it moves
+    # psi_plus by 1; the other eight elements still span su(3)
+    rows = [[0] * 6 for _ in range(6)]
+    rows[0][1], rows[1][0] = -1, 1
+    intact = sampling.su3_spanning_set
     _assert_caught(
         "su3_invariance",
-        lambda: monkeypatch.setattr(Endo, "__matmul__", _product_over_one_denominator),
+        lambda: monkeypatch.setattr(
+            sampling,
+            "su3_spanning_set",
+            lambda mode: (*intact(mode)[:-1], Endo(mode, rows)),
+        ),
     )
 
 

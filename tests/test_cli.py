@@ -138,15 +138,20 @@ def test_non_finite_deformation_exits_two(capsys, value):
     assert captured.out == "" and "must be finite" in captured.err
 
 
-def _assert_rejected_before_running(argv, out, capsys):
-    assert run([*argv, "--out", str(out)]) == 2
+def _assert_usage_error(argv, capsys):
+    assert run(argv) == 2
     captured = capsys.readouterr()
     # rejected as a usage error: no suite ran, so no summary line printed
     assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
+    return captured.err
+
+
+def _assert_rejected_before_running(argv, out, capsys):
+    err = _assert_usage_error([*argv, "--out", str(out)], capsys)
     # nothing written: a missing path stays missing, a directory stays empty
     assert not out.exists() or (out.is_dir() and not any(out.iterdir()))
-    return captured.err
+    return err
 
 
 def test_unwritable_report_path_exits_two(tmp_path, capsys):
@@ -166,6 +171,18 @@ def test_unwritable_s6_report_path_exits_two(tmp_path, capsys):
 def test_directory_report_path_exits_two(tmp_path, capsys, argv):
     err = _assert_rejected_before_running(argv, tmp_path, capsys)
     assert "is a directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-algebra", "--trials", "1"], ["verify-s6", "--suite", "spectral", "--samples", "1"]],
+)
+def test_empty_report_path_exits_two(tmp_path, capsys, monkeypatch, argv):
+    # an empty --out is a usage error, not "no report"
+    monkeypatch.chdir(tmp_path)
+    err = _assert_usage_error([*argv, "--out", ""], capsys)
+    assert "report path is empty" in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("suite, samples", [("gray", "0"), ("gray", "-1"), ("spectral", "0")])

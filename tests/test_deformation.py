@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import BASIS_VECTORS, blades_by_degree
+from conftest import BASIS_VECTORS, blades_by_degree, identity_endo
 from su3forms.deformation import (
     DeformationParams,
     InconsistentJetError,
@@ -62,7 +62,7 @@ def test_scaling_curve_jet():
     assert jet.omega_dot == omega()
     assert jet.psi_plus_dot == psi_plus().scale(Fraction(3, 2))
     assert jet.psi_minus_dot == psi_minus().scale(Fraction(3, 2))
-    assert jet.g_dot == Endo.identity(EXACT)
+    assert jet.g_dot == identity_endo()
     assert jet.j_dot.max_norm() == 0
     assert params.h.trace() / 4 == Fraction(3, 2)
 
@@ -176,7 +176,7 @@ def test_params_to_jet_is_linear():
 
 
 def test_params_validation_rejects_bad_s():
-    bad = Endo.identity(EXACT)
+    bad = identity_endo()
     params = DeformationParams(
         Form.zero(EXACT), bad, Form.zero(EXACT), Fraction(0)
     )
@@ -262,7 +262,7 @@ def test_scaled_psi_plus_dot_breaks_norm_constraint():
 def test_tampered_g_dot_breaks_metric_compatibility(mode):
     # g_dot + I stays symmetric, so only omega_dot = g_dot J + J_dot sees it
     jet = params_to_jet(random_params(random.Random(12), mode))
-    tampered = replace(jet, g_dot=jet.g_dot + Endo.identity(mode))
+    tampered = replace(jet, g_dot=jet.g_dot + identity_endo(mode))
     assert check_jet_consistency(tampered)["metric_compatibility"] == pytest.approx(1)
     with pytest.raises(InconsistentJetError) as err:
         jet_to_params(tampered)

@@ -1,4 +1,4 @@
-"""Kernel correctness: blades, wedge, contraction, star, pullback, JSON."""
+"""Kernel correctness: blades, wedge, contraction, star, JSON."""
 
 from __future__ import annotations
 
@@ -13,13 +13,10 @@ from conftest import (
     BASIS_VECTORS,
     blades_by_degree,
     draw_form,
-    draw_matrix,
     draw_scalar,
-    draw_vector,
     wedge_oracle_mismatches,
 )
 from oracles import (
-    det_oracle,
     evaluate_oracle,
     form_to_tuples,
     star_defining_residual,
@@ -30,7 +27,6 @@ from su3forms.forms import (
     EXACT,
     FLOAT,
     N_BLADES,
-    VOLUME_MASK,
     DegreeError,
     Form,
     ModeError,
@@ -257,59 +253,6 @@ def test_star_is_an_isometry():
 def test_star_rejects_mixed_degree():
     with pytest.raises(DegreeError):
         hodge_star(Form.blade("e1", EXACT) + Form.blade("e12", EXACT))
-
-
-# ---------------------------------------------------------------------------
-# pullback
-#
-# Pullback is polynomial in its matrix, not linear, so these tests draw
-# seeded matrices.
-
-
-def test_pullback_volume_is_determinant():
-    rng = random.Random(3)
-    vol = Form.blade(VOLUME_MASK, EXACT)
-    for _ in range(100):
-        matrix = draw_matrix(rng, 3)
-        assert vol.pullback(matrix) == vol.scale(det_oracle(matrix))
-
-
-def test_pullback_is_contravariant_functor():
-    rng = random.Random(4)
-    for _ in range(25):
-        a, m1, m2 = draw_form(rng), draw_matrix(rng, 2), draw_matrix(rng, 2)
-        prod = [
-            [sum(m1[i][k] * m2[k][j] for k in range(DIM)) for j in range(DIM)]
-            for i in range(DIM)
-        ]
-        # u.pullback(M)(v) = u(Mv), so pulling back along M1 M2 factors as M1 then M2
-        assert a.pullback(prod) == a.pullback(m1).pullback(m2)
-
-
-def test_pullback_definition_via_evaluation():
-    rng = random.Random(5)
-    for _ in range(25):
-        a, matrix = draw_form(rng), draw_matrix(rng, 2)
-        k = a.degree or 0
-        vecs = [draw_vector(rng) for _ in range(k)]
-        mapped = [
-            Form(
-                EXACT,
-                {
-                    1 << i: sum(Fraction(matrix[i][j]) * v.coeff(1 << j) for j in range(DIM))
-                    for i in range(DIM)
-                },
-            )
-            for v in vecs
-        ]
-        assert evaluate(a.pullback(matrix), *vecs) == evaluate(a, *mapped)
-
-
-def test_pullback_is_an_algebra_map():
-    rng = random.Random(6)
-    for _ in range(100):
-        a, b, matrix = draw_form(rng), draw_form(rng), draw_matrix(rng, 2)
-        assert wedge(a, b).pullback(matrix) == wedge(a.pullback(matrix), b.pullback(matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,8 @@ def test_every_public_definition_is_referenced():
     `perfbench/` is named somewhere in those trees outside its own
     definition.  `__init__.py` re-exports and test modules do not count as
     callers.  The match is by name only, so same-named definitions hide each
-    other: a `Form.to_float` that only tests call would pass, because
-    `Endo.to_float` is called, and so would a `DeformationParams.zero` or
+    other: a `Form.trace` that only tests call would pass, because
+    `Endo.trace` is called, and so would a `DeformationParams.zero` or
     `DeformationParams.lam`, hidden by `Form.zero` and `ThreeFormParts.lam`."""
     sources = sorted(
         p

@@ -7,9 +7,17 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add, neg, sub
 
+import numpy as np
 import pytest
 
-from conftest import BASIS_BLADES, BASIS_ENDOS, BASIS_VECTORS, blades_by_degree
+from conftest import (
+    BASIS_BLADES,
+    BASIS_ENDOS,
+    BASIS_VECTORS,
+    blades_by_degree,
+    endo_product_mismatches,
+    identity_endo,
+)
 from oracles import (
     entrywise_oracle,
     evaluate_oracle,
@@ -36,13 +44,10 @@ from su3forms.forms import (
 from su3forms.sampling import (
     random_form,
     random_primitive_two_form,
-    random_su3_rotation,
     random_sym_minus,
     random_sym_plus,
     random_vector,
-    rotate_endo,
-    rotate_form,
-    su3_generators,
+    su3_spanning_set,
 )
 from su3forms.structure import (
     TYPE_EIGENVALUES,
@@ -141,7 +146,7 @@ def test_psi_minus_from_psi_plus_via_j():
 
 def test_identity_acts_as_minus_degree():
     for u in BASIS_BLADES:
-        assert endo_act(Endo.identity(EXACT), u) == u.scale(-u.degree)
+        assert endo_act(identity_endo(), u) == u.scale(-u.degree)
 
 
 def test_endo_act_is_a_derivation():
@@ -365,7 +370,7 @@ def test_sym_minus_combination_sums_the_basis():
         expected = expected + b.scale(c)
     assert sym_minus_combination(coeffs) == expected
     floats = [float(c) for c in coeffs]
-    assert sym_minus_combination(floats, FLOAT).isclose(expected.to_float())
+    assert sym_minus_combination(floats, FLOAT).isclose(Endo(FLOAT, expected.rows))
     with pytest.raises(ValueError):
         sym_minus_combination(coeffs[:-1])
 
@@ -514,13 +519,15 @@ def test_vector_cross_endo_matches_evaluation_oracle():
 
 
 def test_endo_matmul_matches_nested_sum_oracle():
+    assert endo_product_mismatches() == []
     # about one entry in seven is zero, which exercises the zero-skipping loop
     rng = random.Random(30)
     for _ in range(100):
         a, b = Endo(EXACT, _matrix(rng, EXACT)), Endo(EXACT, _matrix(rng, EXACT))
         expected = matmul_oracle(a.rows, b.rows)
         assert (a @ b) == Endo(EXACT, expected)
-        assert (a.to_float() @ b.to_float()).isclose(Endo(FLOAT, expected), tol=1e-9)
+        product = Endo(FLOAT, a.rows) @ Endo(FLOAT, b.rows)
+        assert product.isclose(Endo(FLOAT, expected), tol=1e-9)
 
 
 def _entry(rng: random.Random, mode: str):
@@ -567,13 +574,11 @@ def _check_endo_arithmetic(rng: random.Random, mode: str) -> None:
         assert a.trace() == trace_oracle(ra)
         assert image == matvec_oracle(ra, x)
         assert (a == b) == (ra == rb)
-        assert a.to_float().rows == _as_rows(entrywise_oracle(float, ra))
     else:
         assert abs(a.trace() - trace_oracle(ra)) <= 1e-12
         assert max(abs(u - v) for u, v in zip(image, matvec_oracle(ra, x))) <= 1e-12
         gap = max(abs(u - v) for ru, rv in zip(ra, rb) for u, v in zip(ru, rv))
         assert (a == b) == (gap <= 1e-12)
-        assert a.to_float() is a
 
 
 def test_exact_endo_arithmetic_keeps_lowest_terms():
@@ -588,11 +593,11 @@ def test_exact_endo_arithmetic_keeps_lowest_terms():
         assert (third - third).rows == Endo.zero(EXACT).rows
         # operands over different denominators: 1/6 + 1/3 = 1/2
         assert a.scale(Fraction(1, 6)) + third == a.scale(Fraction(1, 2))
-        assert (a @ Endo.identity(EXACT).scale(3)).scale(Fraction(1, 3)) == a
+        assert (a @ identity_endo().scale(3)).scale(Fraction(1, 3)) == a
 
 
 def test_endo_modes_never_mix():
-    exact, flt = Endo.identity(EXACT), Endo.identity(FLOAT)
+    exact, flt = identity_endo(), identity_endo(FLOAT)
     for op in (add, sub, lambda u, v: u @ v, lambda u, v: u.isclose(v)):
         with pytest.raises(ModeError):
             op(exact, flt)
@@ -605,7 +610,7 @@ def test_endo_modes_never_mix():
 
 def test_anti_endo_decomposition_rejects_j_commuting_part():
     with pytest.raises(DecompositionError):
-        decompose_anti_endo(Endo.identity(EXACT))
+        decompose_anti_endo(identity_endo())
 
 
 def test_decompositions_work_in_float_mode():
@@ -631,8 +636,8 @@ def test_j_compositions_match_matrix_products():
 
 
 def test_sym_plus_two_form_correspondence():
-    assert two_form_from_endo(j_compose_right(Endo.identity(EXACT))) == OMEGA
-    assert sym_plus_from_two_form(OMEGA) == Endo.identity(EXACT)
+    assert two_form_from_endo(j_compose_right(identity_endo())) == OMEGA
+    assert sym_plus_from_two_form(OMEGA) == identity_endo()
     rng = random.Random(26)
     for _ in range(10):
         h = random_sym_plus(rng)
@@ -643,42 +648,51 @@ def test_sym_plus_two_form_correspondence():
 
 
 # ---------------------------------------------------------------------------
-# equivariance under exact SU(3) rotations
+# equivariance under su(3), the infinitesimal SU(3) rotations
+#
+# Each identity below is linear in the element A of su(3) and in the form,
+# so it is proven on the spanning set and on blades.
+
+
+def _bracket(a: Endo, s: Endo) -> Endo:
+    """[A, S] = A S - S A, by the nested-sum oracle."""
+    return Endo(EXACT, matmul_oracle(a.rows, s.rows)) - Endo(EXACT, matmul_oracle(s.rows, a.rows))
 
 
 def test_generators_preserve_the_structure():
-    for r in su3_generators():
-        assert r @ r.transpose() == Endo.identity(EXACT)
-        assert r @ J == J @ r
-        assert rotate_form(r, OMEGA) == OMEGA
-        assert rotate_form(r, PSI_P) == PSI_P
-        assert rotate_form(r, PSI_M) == PSI_M
+    for mode in MODES:
+        gens = su3_spanning_set(mode)
+        j = complex_structure(mode)
+        for a in gens:
+            assert a.transpose() == -a
+            assert a @ j == j @ a
+            for form in (omega(mode), psi_plus(mode), psi_minus(mode)):
+                assert endo_act(a, form).is_zero()
+        assert np.linalg.matrix_rank(np.array([a.flat() for a in gens], dtype=float)) == 8
 
 
 def test_decomposition_equivariance_under_rotations():
-    rng = random.Random(27)
-    for _ in range(5):
-        r = random_su3_rotation(rng)
-        u = random_form(rng, 3)
-        parts = decompose_three_form(u)
-        rotated = decompose_three_form(rotate_form(r, u))
-        assert rotated.alpha == rotate_form(r, parts.alpha)
-        assert rotated.lam == parts.lam
-        assert rotated.mu == parts.mu
-        assert rotated.s == rotate_endo(r, parts.s)
-        a = random_form(rng, 2)
-        p2 = decompose_two_form(a)
-        r2 = decompose_two_form(rotate_form(r, a))
-        assert r2.omega_coeff == p2.omega_coeff
-        assert r2.xi == rotate_form(r, p2.xi)
-        assert r2.primitive == rotate_form(r, p2.primitive)
+    for a in su3_spanning_set():
+        for u in blades_by_degree(3):
+            parts = decompose_three_form(u)
+            moved = decompose_three_form(endo_act(a, u))
+            assert moved.alpha == endo_act(a, parts.alpha)
+            assert moved.lam == moved.mu == 0
+            assert moved.s == _bracket(a, parts.s)
+        for u in blades_by_degree(2):
+            parts = decompose_two_form(u)
+            moved = decompose_two_form(endo_act(a, u))
+            assert moved.omega_coeff == 0
+            assert moved.xi == endo_act(a, parts.xi)
+            assert moved.primitive == endo_act(a, parts.primitive)
 
 
 def test_rotations_commute_with_type_projection():
-    rng = random.Random(28)
-    r = random_su3_rotation(rng)
-    a = random_form(rng, 2)
-    assert rotate_form(r, type_project(a, 1, 1)) == type_project(rotate_form(r, a), 1, 1)
+    for a in su3_spanning_set():
+        for k in (2, 3, 4):
+            for u in blades_by_degree(k):
+                for p, q in TYPE_EIGENVALUES[k]:
+                    assert endo_act(a, type_project(u, p, q)) == type_project(endo_act(a, u), p, q)
 
 
 # ---------------------------------------------------------------------------
