@@ -29,7 +29,7 @@ from su3forms.forms import (
     encode_scalar,
 )
 from su3forms.identities import run_algebra_suite
-from su3forms.report import VerificationReport, merge_reports
+from su3forms.report import VerificationReport, merge_reports, require_count
 from su3forms.structure import (
     Endo,
     decompose_anti_endo,
@@ -70,12 +70,7 @@ def _parse_direction(text: str) -> np.ndarray:
     parts = [float(x) for x in body.split(",")]
     if len(parts) != 7:
         raise ValueError(f"direction needs 7 components, got {len(parts)}")
-    v = np.asarray(parts)
-    if not np.isfinite(v).all():
-        raise ValueError("direction components must be finite")
-    if not np.linalg.norm(v):
-        raise ValueError("direction must be nonzero")
-    return v
+    return np.asarray(parts)
 
 
 def cmd_verify_s6(args: argparse.Namespace, a: np.ndarray | None) -> int:
@@ -113,10 +108,12 @@ def _endo_rows(e: Endo, mode: str) -> list:
 def _decompose_payload(kind: str, data) -> dict:
     if kind == "endo":
         try:
-            mode, rows = data["mode"], data["rows"]
+            mode = data["mode"]
+            f = Endo(mode, [[decode_scalar(v, mode) for v in row] for row in data["rows"]])
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"endomorphism object needs 'mode' and 'rows': {exc}") from exc
-        f = Endo(mode, [[decode_scalar(v, mode) for v in row] for row in rows])
+            raise ValueError(
+                f"endomorphism object needs 'mode' and 'rows', a list of lists: {exc}"
+            ) from exc
         s, xi = decompose_anti_endo(f)
         residual = (f - (s + vector_cross_endo(xi))).max_norm()
         return {
@@ -146,9 +143,8 @@ def _decompose_payload(kind: str, data) -> dict:
 def cmd_decompose(kind: str, stream=None) -> int:
     stream = sys.stdin if stream is None else stream
     try:
-        data = json.load(stream)
-        payload = _decompose_payload(kind, data)
-    except (json.JSONDecodeError, AlgebraError, KeyError, TypeError, ValueError) as exc:
+        payload = _decompose_payload(kind, json.load(stream))
+    except (AlgebraError, ValueError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -166,16 +162,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    alg = sub.add_parser("verify-algebra", help="exact/float identity suites")
+    alg = sub.add_parser("verify-algebra", help="exact/float identity suites", allow_abbrev=False)
     alg.add_argument("--trials", type=int, default=1000)
     alg.add_argument("--seed", type=int, default=0)
     alg.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
     alg.add_argument("--out", help="write the JSON report here")
 
-    dec = sub.add_parser("decompose", help="split a form into its components")
+    dec = sub.add_parser("decompose", help="split a form into its components", allow_abbrev=False)
     dec.add_argument("--kind", choices=("2form", "3form", "endo"), required=True)
 
-    s6 = sub.add_parser("verify-s6", help="finite-difference sphere suites")
+    s6 = sub.add_parser("verify-s6", help="finite-difference sphere suites", allow_abbrev=False)
     s6.add_argument("--suite", choices=S6_SUITES, help="default: all")
     s6.add_argument("--samples", type=int, default=50)
     s6.add_argument("--h", type=float, default=1e-3)
@@ -203,31 +199,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "verify-algebra":
-        if args.trials < 1:
-            parser.error("trials must be at least 1")
-        _check_report_path(parser, args.out)
-        report = run_algebra_suite(trials=args.trials, seed=args.seed, mode=args.mode)
-        return _emit(report, args.out)
-
     if args.command == "decompose":
         return cmd_decompose(args.kind)
 
-    if args.deform is not None and args.suite not in (None, "linearized"):
-        parser.error(f"--deform runs the linearized suite, not --suite {args.suite}")
-    if args.samples < 1:
-        parser.error("samples must be at least 1")
-    _check_report_path(parser, args.out)
-    from su3forms.sphere import MIN_STEP
+    try:  # the library states each rule on counts, steps and directions
+        if args.command == "verify-algebra":
+            require_count("trials", args.trials)
+        else:
+            if args.deform is not None and args.suite not in (None, "linearized"):
+                parser.error(f"--deform runs the linearized suite, not --suite {args.suite}")
+            from su3forms import sphere, suites
 
-    if not MIN_STEP < args.h < 1e-1:
-        parser.error(f"step {args.h} outside the usable range ({MIN_STEP:g}, 0.1)")
-    a = None
-    if args.deform is not None:
-        try:
-            a = _parse_direction(args.deform)
-        except ValueError as exc:
-            parser.error(str(exc))
+            require_count("samples", args.samples)
+            sphere.require_suite_step(args.h)
+            a = None if args.deform is None else _parse_direction(args.deform)
+            if a is not None:
+                suites.require_direction(a)
+    except ValueError as exc:
+        parser.error(str(exc))
+    _check_report_path(parser, args.out)
+    if args.command == "verify-algebra":
+        report = run_algebra_suite(trials=args.trials, seed=args.seed, mode=args.mode)
+        return _emit(report, args.out)
     return cmd_verify_s6(args, a)
 
 

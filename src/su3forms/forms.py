@@ -16,6 +16,7 @@ fixed by the volume blade e123456.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isnan, nan
@@ -92,8 +93,8 @@ def blade_name(mask: int) -> str:
 
 
 def blade_from_name(name: str) -> int:
-    if not name.startswith("e"):
-        raise ValueError(f"blade name must start with 'e': {name!r}")
+    if not (isinstance(name, str) and name.startswith("e")):
+        raise ValueError(f"blade name must be a string that starts with 'e': {name!r}")
     mask = 0
     prev = 0
     for ch in name[1:]:
@@ -125,22 +126,25 @@ def coerce_scalar(value, mode: str) -> Scalar:
 
     Exact mode accepts ints and Fractions (floats would silently corrupt the
     exact arithmetic, so they are rejected); float mode accepts any real
-    number.
+    number, NaN and infinity included.  Booleans are no scalars in either.
     """
     if mode == EXACT:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
         raise ModeError(f"exact mode cannot accept coefficient {value!r}")
     if mode == FLOAT:
-        if isinstance(value, (int, float, Fraction)):
+        if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
             return float(value)
         raise ModeError(f"float mode cannot accept coefficient {value!r}")
     raise ModeError(f"unknown mode {mode!r}")
 
 
 _EXACT_ZERO = Fraction(0)
+
+#: the strings `encode_scalar` writes for an exact scalar
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def scalar_zero(mode: str) -> Scalar:
@@ -155,22 +159,14 @@ def encode_scalar(value, mode: str):
 
 
 def decode_scalar(raw, mode: str) -> Scalar:
-    """Inverse of `encode_scalar`: exact mode takes rational strings and
-    integers, float mode numbers; JSON booleans are no scalars in either."""
-    if isinstance(raw, bool):
-        raise ValueError(f"scalars cannot be booleans, got {raw!r}")
-    if mode == EXACT:
-        if not isinstance(raw, (str, int)):
-            raise ValueError(f"exact scalars must be rational strings or ints, got {raw!r}")
-        try:
-            return Fraction(raw)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"exact scalar {raw!r} has a zero denominator") from exc
-    if mode == FLOAT:
-        if not isinstance(raw, (int, float)):
-            raise ValueError(f"float scalars must be numbers, got {raw!r}")
-        return float(raw)
-    raise ModeError(f"unknown mode {mode!r}")
+    """Inverse of `encode_scalar`: in exact mode a string must be an integer
+    or p/q with q nonzero, as `encode_scalar` writes it; every value then
+    meets the rule of `coerce_scalar`."""
+    if mode == EXACT and isinstance(raw, str):
+        if not _RATIONAL.fullmatch(raw):
+            raise ValueError(f"exact scalars are an integer or p/q with q nonzero, got {raw!r}")
+        raw = Fraction(raw)
+    return coerce_scalar(raw, mode)
 
 
 def _check_same_mode(a: "Form", b: "Form") -> None:
@@ -203,8 +199,7 @@ class Form:
     """Sparse element of the full exterior algebra Lambda R^6.
 
     Not hashable; compare with ``==`` (coefficient-wise in exact mode, within
-    `DEFAULT_TOL` max-norm in float mode) or `isclose` for an explicit
-    tolerance.
+    `DEFAULT_TOL` max-norm in float mode).
     """
 
     __slots__ = ("mode", "_c")
@@ -281,11 +276,10 @@ class Form:
             raise DegreeError(f"form has mixed degrees {degs}")
         return degs[0]
 
-    def is_zero(self, tol: float | None = None) -> bool:
+    def is_zero(self) -> bool:
         if self.mode == EXACT:
             return not self._c
-        t = DEFAULT_TOL if tol is None else tol
-        return all(abs(v) <= t for v in self._c.values())
+        return all(abs(v) <= DEFAULT_TOL for v in self._c.values())
 
     def max_norm(self) -> Scalar:
         return _max_abs(self._c.values(), self.mode)
@@ -330,9 +324,9 @@ class Form:
 
     # -- comparison ----------------------------------------------------------
 
-    def isclose(self, other: "Form", tol: float = DEFAULT_TOL) -> bool:
+    def isclose(self, other: "Form") -> bool:
         _check_same_mode(self, other)
-        return (self - other).is_zero(tol)
+        return (self - other).is_zero()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
@@ -364,17 +358,15 @@ class Form:
     def from_json_dict(cls, data: Mapping) -> "Form":
         try:
             mode = data["mode"]
-            raw_terms = data["terms"]
+            pairs = [(term["blade"], term["coeff"]) for term in data["terms"]]
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"form object needs 'mode' and 'terms': {exc}") from exc
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+            raise ValueError(f"form needs 'mode' and 'terms' ('blade', 'coeff'): {exc}") from exc
         coeffs: dict[int, Scalar] = {}
-        for term in raw_terms:
-            mask = blade_from_name(term["blade"])
+        for name, raw in pairs:
+            mask = blade_from_name(name)
             if mask in coeffs:
-                raise ValueError(f"duplicate blade {term['blade']!r}")
-            coeffs[mask] = decode_scalar(term["coeff"], mode)
+                raise ValueError(f"duplicate blade {name!r}")
+            coeffs[mask] = decode_scalar(raw, mode)
         return cls(mode, coeffs)
 
 

@@ -25,6 +25,7 @@ from su3forms.deformation import (
     params_to_jet,
 )
 from su3forms.forms import (
+    DEFAULT_TOL,
     EXACT,
     MODES,
     AlgebraError,
@@ -58,8 +59,6 @@ from su3forms.structure import (
     vector_cross_endo,
     volume_form,
 )
-
-FLOAT_TOL = 1e-12
 
 
 def _norm(x) -> object:
@@ -404,6 +403,6 @@ def run_algebra_suite(
             except AlgebraError:
                 residual = float("nan")
             ledger.add(name, residual)
-    tol = 0 if mode == EXACT else FLOAT_TOL
+    tol = 0 if mode == EXACT else DEFAULT_TOL
     checks = tuple(ledger.result(name, tol) for name, _ in CHECKS)
     return VerificationReport(f"algebra-{mode}", None, trials, seed, checks)

@@ -58,6 +58,9 @@ CROSS_TRIPLES = (
 #: smallest step the central-difference operators accept
 MIN_STEP = 1e-7
 
+#: largest suite step: past it the truncation error swamps the tolerances
+MAX_STEP = 0.1
+
 
 # ---------------------------------------------------------------------------
 # cross product
@@ -403,6 +406,12 @@ def psi_plus_field() -> FormField:
 
 def psi_minus_field() -> FormField:
     return FormField(3, psi_minus_ambient)
+
+
+def require_suite_step(h: float) -> None:
+    """Reject h unless h and h/2, where each suite also runs, lie in (MIN_STEP, MAX_STEP)."""
+    if not 2 * MIN_STEP < h < MAX_STEP:
+        raise ValueError(f"step {h} outside the usable range ({2 * MIN_STEP:g}, {MAX_STEP:g})")
 
 
 def _check_step(h: float) -> None:

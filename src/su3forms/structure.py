@@ -34,10 +34,10 @@ from operator import add, sub
 from typing import Iterable, Sequence
 
 from su3forms.forms import (
+    DEFAULT_TOL,
     DIM,
     EXACT,
     FLOAT,
-    MODES,
     DecompositionError,
     DegreeError,
     Form,
@@ -80,8 +80,6 @@ class Endo:
     __slots__ = ("mode", "_nums", "_den")
 
     def __init__(self, mode: str, rows: Sequence[Sequence]):
-        if mode not in MODES:
-            raise ModeError(f"unknown mode {mode!r}")
         if len(rows) != DIM or any(len(r) != DIM for r in rows):
             raise ValueError("Endo expects a 6x6 matrix")
         entries = [coerce_scalar(x, mode) for row in rows for x in row]
@@ -217,12 +215,12 @@ class Endo:
             return _max_abs(self._nums, FLOAT)
         return Fraction(max(map(abs, self._nums)), self._den)
 
-    def isclose(self, other: "Endo", tol: float = 1e-12) -> bool:
+    def isclose(self, other: "Endo") -> bool:
         if self.mode != other.mode:
             raise ModeError(f"cannot compare {self.mode} and {other.mode} endos")
         if self.mode == EXACT:
             return self._den == other._den and self._nums == other._nums
-        return (self - other).max_norm() <= tol
+        return (self - other).max_norm() <= DEFAULT_TOL
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Endo):

@@ -97,6 +97,7 @@ def verify_gray(
     suite must flag with an O(1) residual.
     """
     require_count("samples", samples)
+    sp.require_suite_step(h)
     rng = random.Random(seed)
     ofield = sp.omega_field()
     pmfield = sp.psi_minus_field()
@@ -148,6 +149,7 @@ def verify_spectral(samples: int = 50, h: float = 1e-3, seed: int = 0) -> Verifi
     7 for q0 q1), which no sample point can shrink.
     """
     require_count("samples", samples)
+    sp.require_suite_step(h)
     frames = _frames(seed, samples)
     ledger = Ledger()
     for name, fn, ev, sup in _HARMONICS:
@@ -275,6 +277,14 @@ def _span_check(seed: int) -> CheckResult:
     return CheckResult("span_rank_singular_ratio", ratio, None, ratio >= RANK_RATIO_MIN)
 
 
+def require_direction(a: np.ndarray) -> None:
+    """Reject an a that is not finite and nonzero of shape (7,): zero fields would pass."""
+    if not (np.shape(a) == (7,) and np.isfinite(a).all() and np.any(a)):
+        raise ValueError(
+            f"direction must be finite and nonzero of shape (7,), got {a} of shape {np.shape(a)}"
+        )
+
+
 def verify_linearized(
     a: np.ndarray,
     samples: int = 50,
@@ -290,15 +300,11 @@ def verify_linearized(
     and h/2 (the 5-form identity's truncation constant exceeds the tolerance
     under the plain scheme); orders come from the plain values.
 
-    defect="scale_psi_plus_dot" multiplies psi_plus_dot by 1.1.  Raises
-    ValueError for a zero or non-finite a, or one whose shape is not (7,).
+    defect="scale_psi_plus_dot" multiplies psi_plus_dot by 1.1.
     """
     require_count("samples", samples)
-    # a zero direction gives zero fields, whose residuals are 0 and would pass
-    if not (np.shape(a) == (7,) and np.isfinite(a).all() and np.any(a)):
-        raise ValueError(
-            f"direction must be finite and nonzero of shape (7,), got {a} of shape {np.shape(a)}"
-        )
+    sp.require_suite_step(h)
+    require_direction(a)
     checks = _linearized_checks(a, _frames(seed, samples), h, defect)
     return VerificationReport("linearized", h, samples, seed, (*checks, _span_check(seed)))
 
@@ -318,6 +324,7 @@ def verify_linearized_basis(
     before a passing one, then the larger residual, NaN largest; ties keep
     the first).  The span-rank check has no direction and is taken once."""
     require_count("samples", samples)
+    sp.require_suite_step(h)
     frames = _frames(seed, samples)
     by_name: dict[str, list[CheckResult]] = {}
     for a in np.eye(7):
@@ -412,6 +419,7 @@ def verify_cl_identities(
     d(phi_0) ^ psi_minus = 0, Lambda d(phi_0) = 0.
     """
     require_count("samples", samples)
+    sp.require_suite_step(h)
     rng = random.Random(seed)
     n_fields = 2
     betas = [sp.standard_normals(rng, 21) for _ in range(n_fields)]

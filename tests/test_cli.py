@@ -279,6 +279,69 @@ def test_decompose_malformed_json(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _decompose_error(kind, payload, monkeypatch, capsys) -> str:
+    """The one error line of a decompose run that must exit 2 and print nothing."""
+    assert run(["decompose", "--kind", kind], payload, monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("kind", ["2form", "3form"])
+def test_non_string_blade_exits_two_naming_it(monkeypatch, capsys, kind):
+    payload = json.dumps({"mode": "exact", "terms": [{"blade": 12, "coeff": "1"}]})
+    err = _decompose_error(kind, payload, monkeypatch, capsys)
+    assert "blade" in err and "12" in err
+
+
+@pytest.mark.parametrize("kind", ["2form", "3form", "endo"])
+def test_json_nested_past_the_recursion_limit_exits_two(capsys, kind):
+    assert cli.cmd_decompose(kind, io.StringIO("[" * 100_000)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "recursion" in captured.err
+
+
+def test_huge_float_coefficient_exits_two(monkeypatch, capsys):
+    # a JSON integer of 401 digits is no float
+    payload = '{"mode": "float", "terms": [{"blade": "e12", "coeff": 1%s}]}' % ("0" * 400)
+    _decompose_error("2form", payload, monkeypatch, capsys)
+
+
+def test_exact_coefficient_with_an_exponent_exits_two_at_once(monkeypatch, capsys):
+    # Fraction would expand 10^99999999; the exact string rule never lets it
+    payload = json.dumps({"mode": "exact", "terms": [{"blade": "e12", "coeff": "1e99999999"}]})
+    err = _decompose_error("2form", payload, monkeypatch, capsys)
+    assert "integer or p/q" in err
+
+
+def test_term_without_coeff_names_the_field(monkeypatch, capsys):
+    payload = json.dumps({"mode": "exact", "terms": [{"blade": "e12"}]})
+    err = _decompose_error("2form", payload, monkeypatch, capsys)
+    assert "'terms'" in err and "'coeff'" in err
+
+
+def test_rows_that_are_not_lists_name_the_field(monkeypatch, capsys):
+    payload = json.dumps({"mode": "exact", "rows": [1, 2, 3, 4, 5, 6]})
+    err = _decompose_error("endo", payload, monkeypatch, capsys)
+    assert "'rows'" in err
+
+
+def test_suite_step_whose_half_is_too_small_exits_two(capsys):
+    from su3forms.sphere import require_suite_step
+
+    with pytest.raises(ValueError) as library:
+        require_suite_step(1.5e-7)
+    argv = ["verify-s6", "--suite", "gray", "--samples", "1", "--h", "1.5e-7"]
+    err = _assert_usage_error(argv, capsys)
+    assert str(library.value) in err
+
+
+def test_an_option_of_another_command_is_no_help_request(capsys):
+    # argparse would read --h as an abbreviation of --help and exit 0
+    _assert_usage_error(["verify-algebra", "--trials", "1", "--h", "1e-3"], capsys)
+
+
 def test_failure_exits_one(monkeypatch, capsys):
     from su3forms.report import CheckResult, VerificationReport
 

@@ -35,6 +35,7 @@ from su3forms.forms import (
     blade_name,
     blades_of_degree,
     contract,
+    decode_scalar,
     evaluate,
     hodge_star,
     inner,
@@ -272,7 +273,7 @@ def test_json_round_trip_float():
         a = draw_form(rng, FLOAT)
         back = Form.from_json_dict(a.to_json_dict())
         assert back.mode == FLOAT
-        assert (back - a).is_zero(tol=0.0)
+        assert (back - a).max_norm() == 0.0
 
 
 def test_json_exact_coefficients_are_strings():
@@ -303,8 +304,27 @@ def test_json_exact_coefficients_are_strings():
     ],
 )
 def test_json_rejects_malformed_input(data):
-    with pytest.raises(ValueError):
+    # a bad mode or scalar type raises the kernel's ModeError, the rest ValueError
+    with pytest.raises((ValueError, ModeError)):
         Form.from_json_dict(data)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("value", [True, False])
+def test_booleans_are_no_scalars(mode, value):
+    with pytest.raises(ModeError):
+        Form(mode, {1: value})
+    with pytest.raises(ModeError):
+        Form.blade("e1", mode).scale(value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e3", "1e99999999", "1.5", " 1", "1 ", "+1", "1_000", "0x1f", "1/0", "1/-2", "nan", ""],
+)
+def test_exact_json_scalars_are_integers_or_ratios(text):
+    with pytest.raises(ValueError, match="integer or p/q"):
+        decode_scalar(text, EXACT)
 
 
 def test_float_max_norm_keeps_nan():

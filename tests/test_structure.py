@@ -527,7 +527,7 @@ def test_endo_matmul_matches_nested_sum_oracle():
         expected = matmul_oracle(a.rows, b.rows)
         assert (a @ b) == Endo(EXACT, expected)
         product = Endo(FLOAT, a.rows) @ Endo(FLOAT, b.rows)
-        assert product.isclose(Endo(FLOAT, expected), tol=1e-9)
+        assert (product - Endo(FLOAT, expected)).max_norm() <= 1e-9
 
 
 def _entry(rng: random.Random, mode: str):
@@ -594,6 +594,14 @@ def test_exact_endo_arithmetic_keeps_lowest_terms():
         # operands over different denominators: 1/6 + 1/3 = 1/2
         assert a.scale(Fraction(1, 6)) + third == a.scale(Fraction(1, 2))
         assert (a @ identity_endo().scale(3)).scale(Fraction(1, 3)) == a
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_endo_entries_are_no_booleans(mode):
+    rows = [[0] * DIM for _ in range(DIM)]
+    rows[2][4] = True
+    with pytest.raises(ModeError):
+        Endo(mode, rows)
 
 
 def test_endo_modes_never_mix():

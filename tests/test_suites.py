@@ -120,20 +120,32 @@ def test_scaled_psi_plus_dot_is_caught():
     assert checks["d_omega_dot_vs_psi_plus_dot"].max_residual > 1e-2
 
 
-@pytest.mark.parametrize(
-    "suite",
-    [
-        verify_gray,
-        verify_spectral,
-        lambda samples: verify_linearized(np.eye(7)[0], samples=samples),
-        verify_linearized_basis,
-        verify_cl_identities,
-    ],
-)
+SUITES = [
+    verify_gray,
+    verify_spectral,
+    lambda samples, h=1e-3: verify_linearized(np.eye(7)[0], samples=samples, h=h),
+    verify_linearized_basis,
+    verify_cl_identities,
+]
+
+
+@pytest.mark.parametrize("suite", SUITES)
 @pytest.mark.parametrize("samples", [0, -1])
 def test_empty_runs_are_rejected(suite, samples):
     with pytest.raises(ValueError, match="samples must be at least 1"):
         suite(samples=samples)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("h", [1.5e-7, 2e-7, 0.1, 1.0, np.inf, np.nan])
+def test_steps_outside_the_usable_range_are_rejected_on_entry(monkeypatch, suite, h):
+    # each suite also runs at h/2, so h must exceed 2 MIN_STEP, and h < MAX_STEP
+    def no_work(*args):
+        raise AssertionError("rejected step reached the sample points")
+
+    monkeypatch.setattr("su3forms.suites._frames", no_work)
+    with pytest.raises(ValueError, match="outside the usable range"):
+        suite(samples=1, h=h)
 
 
 @pytest.mark.parametrize("component", [0.0, np.nan, np.inf])
