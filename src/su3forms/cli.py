@@ -62,6 +62,8 @@ def _parse_direction(text: str) -> np.ndarray:
     import numpy as np
 
     body = text[2:] if text.startswith("a=") else text
+    if not body.isascii():
+        raise ValueError(f"direction must be written in ASCII, got {body!r}")
     if body.startswith("e") and body[1:].isdigit():
         i = int(body[1:])
         if not 1 <= i <= 7:

@@ -98,8 +98,8 @@ def blade_from_name(name: str) -> int:
     mask = 0
     prev = 0
     for ch in name[1:]:
-        if not ch.isdigit():
-            raise ValueError(f"blade name has a non-digit index: {name!r}")
+        if not (ch.isascii() and ch.isdigit()):
+            raise ValueError(f"blade name has an index that is not an ASCII digit: {name!r}")
         i = int(ch)
         if not 1 <= i <= DIM:
             raise ValueError(f"blade index out of range 1..{DIM}: {name!r}")
@@ -136,7 +136,11 @@ def coerce_scalar(value, mode: str) -> Scalar:
         raise ModeError(f"exact mode cannot accept coefficient {value!r}")
     if mode == FLOAT:
         if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                kind = "integer" if isinstance(value, int) else "rational"
+                raise OverflowError(f"the {kind} coefficient does not fit a float") from None
         raise ModeError(f"float mode cannot accept coefficient {value!r}")
     raise ModeError(f"unknown mode {mode!r}")
 
@@ -366,7 +370,10 @@ class Form:
             mask = blade_from_name(name)
             if mask in coeffs:
                 raise ValueError(f"duplicate blade {name!r}")
-            coeffs[mask] = decode_scalar(raw, mode)
+            try:
+                coeffs[mask] = decode_scalar(raw, mode)
+            except OverflowError as exc:
+                raise OverflowError(f"blade {name!r}: {exc}") from None
         return cls(mode, coeffs)
 
 

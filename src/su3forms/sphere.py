@@ -6,18 +6,18 @@ associative 3-form phi(x, y, z) = <x cross y, z>, and psi_plus is the
 restriction of phi itself.  Differential operators (exterior derivative,
 Levi-Civita derivative, codifferential, Laplacian) are second-order central
 finite differences on one stencil: the great circles normalize(p + t x)
-through the evaluation point p, with a tangent basis at p projected to each
-stencil point.  The exterior derivative is the antisymmetrized covariant
-derivative along the adapted frame turned by one fixed rotation, whose
-compounds take the derivative back to frame components.  The codifferential
-is minus the trace of the covariant derivative along the frame itself,
--sum_j f_j -| nabla_{f_j}, which equals -*d* on the even-dimensional sphere.
-Operators take a point or its `AdaptedFrame`, which a caller builds once per
-point.  Fields are evaluated in batches: each operator makes one field call
-on all the points of its stencil, and the ambient algebra broadcasts over
-leading axes.  `ext_d`, `covariant_d` and `codifferential` take one form
-field or a tuple of them: the fields of a tuple share one stencil and one
-Laplace recursion of minors, up to their highest degree.
+through the evaluation point p.  Each field value a at a stencil point g is
+projected off g, a - g ^ (g -| a), which is its pullback along 1 - g g^T,
+and then pulled back along a basis at p through that basis's compound, one
+7 x 6 compound per call.  The exterior derivative is the antisymmetrized
+covariant derivative along the adapted frame turned by one fixed rotation,
+whose compounds take the derivative back to frame components.  The
+codifferential is minus the trace of the covariant derivative along the
+frame itself, -sum_j f_j -| nabla_{f_j}, which equals -*d* on the
+even-dimensional sphere.  Operators take a point or its `AdaptedFrame`,
+which a caller builds once per point, and one field, evaluated in batches:
+each operator makes one field call on all the points of its stencil, and
+the ambient algebra broadcasts over leading axes.
 
 Forms on R^7 and frame values on the tangent space are numpy coefficient
 vectors over index combinations in lexicographic order, with product and
@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, wraps
+from functools import cache
 from itertools import combinations, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -205,32 +205,6 @@ def _laplace_table(n: int, m: int, d: int) -> tuple[np.ndarray, np.ndarray, np.n
     return ent, sub, signs
 
 
-def _minors_of_degrees(v: np.ndarray, degrees: Iterable[int]) -> dict[int, np.ndarray]:
-    """compound(v, d) for every d in degrees, from one Laplace recursion up
-    to the highest of them."""
-    degrees = set(degrees)
-    *lead, n, m = v.shape
-    # the empty minor is v's one
-    out = {0: np.ones((*lead, 1, 1), dtype=v.dtype)} if 0 in degrees else {}
-    entries = v.reshape(*lead, n * m)
-    minors = entries
-    for d in range(1, max(degrees) + 1):
-        if d > 1:
-            ent, sub, signs = _laplace_table(n, m, d)
-            acc = np.zeros((*lead, ent.shape[1]), dtype=v.dtype)
-            for j in range(d):
-                term = entries.take(ent[j], axis=-1)
-                term *= minors.take(sub[j], axis=-1)
-                if signs[j] > 0:
-                    acc += term
-                else:
-                    acc -= term
-            minors = acc
-        if d in degrees:
-            out[d] = minors.reshape(*lead, len(combos(n, d)), len(combos(m, d)))
-    return out
-
-
 def compound(v: np.ndarray, k: int) -> np.ndarray:
     """All k x k minors of v, shape (..., n, m) -> (..., C(n,k), C(m,k)).
 
@@ -240,7 +214,23 @@ def compound(v: np.ndarray, k: int) -> np.ndarray:
     (the empty minor is its one), so complex and exact `Fraction` object
     arrays work as float64 does.
     """
-    return _minors_of_degrees(v, (k,))[k]
+    *lead, n, m = v.shape
+    if k == 0:
+        return np.ones((*lead, 1, 1), dtype=v.dtype)
+    entries = v.reshape(*lead, n * m)
+    minors = entries
+    for d in range(2, k + 1):
+        ent, sub, signs = _laplace_table(n, m, d)
+        acc = np.zeros((*lead, ent.shape[1]), dtype=v.dtype)
+        for j in range(d):
+            term = entries.take(ent[j], axis=-1)
+            term *= minors.take(sub[j], axis=-1)
+            if signs[j] > 0:
+                acc += term
+            else:
+                acc -= term
+        minors = acc
+    return minors.reshape(*lead, len(combos(n, k)), len(combos(m, k)))
 
 
 def pullback_form(coeffs: np.ndarray, k: int, v: np.ndarray) -> np.ndarray:
@@ -385,10 +375,11 @@ class FormField:
 
     `ambient(q)` returns coefficients of a degree-`degree` form on R^7 whose
     restriction to T_q is the field's value; everything off the tangent
-    space is irrelevant and discarded by the pullbacks along projected frames.
-    Fields are evaluated in batches: q has shape (..., 7) and the result
-    (..., C(7, degree)).  Endomorphism fields map q to ambient matrices
-    (..., 7, 7), and the functions given to `laplacian` map it to (...).
+    space is irrelevant and projected away, a - q ^ (q -| a), before the
+    pullback.  A field is evaluated in batches: q has shape (..., 7) and
+    the result (..., C(7, degree)).  Endomorphism fields map q to ambient
+    matrices (..., 7, 7), and the functions given to `laplacian` map it to
+    (...).
     """
 
     degree: int
@@ -419,52 +410,33 @@ def _check_step(h: float) -> None:
         raise ValueError(f"step {h} is not finite or is under the cancellation guard {MIN_STEP}")
 
 
-def _stencil(p: np.ndarray, x: np.ndarray, h: float, basis: np.ndarray | None = None):
+def _stencil(p: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     """Points normalize(p + t x) at t = h, -h for tangent directions x
-    (..., 7), shape (2, ..., 7), and the tangent basis (7, m) at p, when
-    given, projected to their tangent spaces, shape (2, ..., 7, m).  The
-    projected basis is parallel along each great circle at t = 0."""
+    (..., 7), shape (2, ..., 7)."""
     _check_step(h)
     t = np.array([h, -h]).reshape(2, *(1,) * x.ndim)
-    gamma = normalize(p + t * x)
-    if basis is None:
-        return gamma, None
-    return gamma, basis - gamma[..., :, None] * (gamma @ basis)[..., None, :]
+    return normalize(p + t * x)
 
 
 def _derivatives(
-    fields: tuple[FormField, ...], p: np.ndarray, x: np.ndarray, basis: np.ndarray, h: float
-) -> list[np.ndarray]:
-    """Central differences along the great circles normalize(p + t x) of
-    each field pulled back along the projected basis, shape
-    (..., C(m, degree)).  The fields share the stencil and one minor
-    recursion up to their highest degree; each is called once on the whole
-    stencil."""
-    gamma, v = _stencil(p, x, h, basis)
-    minors = _minors_of_degrees(v, (field.degree for field in fields))
-    diffs = []
-    for field in fields:
-        # pullback_form's product, on the shared minors of its degree
-        plus, minus = (field.ambient(gamma)[..., None, :] @ minors[field.degree])[..., 0, :]
-        diffs.append((plus - minus) / (2.0 * h))
-    return diffs
+    field: FormField, p: np.ndarray, x: np.ndarray, basis: np.ndarray, h: float
+) -> np.ndarray:
+    """Central differences along the great circles normalize(p + t x) of the
+    field pulled back along the basis projected to each stencil point,
+    shape (..., C(m, degree)).
 
-
-#: one form field, or a tuple of fields differentiated at one frame and step
-Fields = FormField | Sequence[FormField]
-
-
-def _fieldwise(op: Callable[..., tuple[np.ndarray, ...]]):
-    """Let an operator on a tuple of fields take a single field, as a
-    1-tuple, and return that field's value alone."""
-
-    @wraps(op)
-    def apply(fields: Fields, *args, **kwargs):
-        if isinstance(fields, FormField):
-            return op((fields,), *args, **kwargs)[0]
-        return op(tuple(fields), *args, **kwargs)
-
-    return apply
+    At a unit point g, pulling a k-form a back along (1 - g g^T) B is
+    pulling a - g ^ (g -| a) back along B, so each value is projected off
+    its point and every point shares the one compound of B.  The field is
+    called once on the whole stencil.
+    """
+    gamma = _stencil(p, x, h)
+    a = field.ambient(gamma)
+    k = field.degree
+    if k:
+        a = a - wedge_ambient(gamma, 1, contract_ambient(gamma, a, k), k - 1)
+    plus, minus = pullback_form(a, k, basis)
+    return (plus - minus) / (2.0 * h)
 
 
 #: fixed generic rotation taking the adapted frame to the basis `ext_d`
@@ -476,8 +448,7 @@ _TURN = np.linalg.qr(standard_normals(random.Random(6), 36).reshape(6, 6))[0]
 _TURN_BACK = tuple(compound(_TURN.T, k) for k in range(8))
 
 
-@_fieldwise
-def ext_d(fields: Fields, p: Where, h: float) -> tuple[np.ndarray, ...]:
+def ext_d(field: FormField, p: Where, h: float) -> np.ndarray:
     """Exterior derivative at p by central differences, second order in h,
     in frame components (lex order).
 
@@ -487,52 +458,46 @@ def ext_d(fields: Fields, p: Where, h: float) -> tuple[np.ndarray, ...]:
     p is orthogonal to B, so at the stencil point u = +-h e_j the
     differential of that map is the projected B divided by sqrt(1 + h^2),
     and a k-form pulls back along it with the factor (1 + h^2)^(-k/2).  The
-    field is evaluated and pulled back on the whole 12-point stencil at
-    once.  Given a tuple of fields, returns the tuple of their derivatives,
-    all from one stencil.  A caller that needs fourth order extrapolates the
-    values at h and h/2.
+    field is evaluated on the whole 12-point stencil at once and pulled
+    back through the one compound of B.  A caller that needs fourth order
+    extrapolates the values at h and h/2.
     """
     frame = _frame_at(p)
     basis = frame.matrix @ _TURN
-    partials = _derivatives(fields, frame.point, basis.T, basis, h)
-    out = []
-    for field, d in zip(fields, partials):
-        k = field.degree
-        d = d / (1.0 + h * h) ** (k / 2)
-        # sum_j du^j ^ partial_j, through the wedge table of 1-forms with k-forms
-        out.append(np.einsum("jp,jpo->o", d, _wedge_table(6, 1, k)) @ _TURN_BACK[k + 1])
-    return tuple(out)
+    k = field.degree
+    d = _derivatives(field, frame.point, basis.T, basis, h) / (1.0 + h * h) ** (k / 2)
+    # sum_j du^j ^ partial_j, through the wedge table of 1-forms with k-forms
+    return np.einsum("jp,jpo->o", d, _wedge_table(6, 1, k)) @ _TURN_BACK[k + 1]
 
 
-@_fieldwise
-def covariant_d(fields: Fields, x: np.ndarray, p: Where, h: float) -> tuple[np.ndarray, ...]:
-    """Levi-Civita derivative of a form field, or of each of a tuple of
-    fields, along tangent x, at p.
+def covariant_d(field: FormField, x: np.ndarray, p: Where, h: float) -> np.ndarray:
+    """Levi-Civita derivative of a form field along tangent x, at p.
 
     Differentiates the frame components of the field, in the transported
     frame, along the great-circle curve normalize(p + t x).
     """
     frame = _frame_at(p)
-    return tuple(_derivatives(fields, frame.point, x, frame.matrix, h))
+    return _derivatives(field, frame.point, x, frame.matrix, h)
 
 
 def divergence_endo(s: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -> np.ndarray:
     """Divergence -sum_i (nabla_{f_i} S)(f_i) of an endomorphism field.
 
     Returned in frame components at p.  S is called once, on the curve
-    points of all six frame directions.
+    points of all six frame directions, and read in the frame projected to
+    each of them, which is parallel along its great circle at t = 0.
     """
     frame = _frame_at(p)
-    gamma, v = _stencil(frame.point, frame.matrix.T, h, frame.matrix)
+    f = frame.matrix
+    gamma = _stencil(frame.point, f.T, h)
+    v = f - gamma[..., :, None] * (gamma @ f)[..., None, :]
     plus, minus = np.swapaxes(v, -1, -2) @ s(gamma) @ v
     # column i of the derivative along f_i
     return -np.einsum("iai->a", plus - minus) / (2.0 * h)
 
 
-@_fieldwise
-def codifferential(fields: Fields, p: Where, h: float) -> tuple[np.ndarray, ...]:
-    """Codifferential of a form field, or of each of a tuple of fields, at
-    p, in frame components.
+def codifferential(field: FormField, p: Where, h: float) -> np.ndarray:
+    """Codifferential of a form field at p, in frame components.
 
     delta beta = -sum_j f_j -| nabla_{f_j} beta over the adapted frame f_j,
     which on the even-dimensional sphere equals -*d*: the covariant
@@ -540,11 +505,8 @@ def codifferential(fields: Fields, p: Where, h: float) -> tuple[np.ndarray, ...]
     call on the 12-point stencil, contracted into their directions.
     """
     frame = _frame_at(p)
-    partials = _derivatives(fields, frame.point, frame.matrix.T, frame.matrix, h)
-    return tuple(
-        -np.einsum("jp,jpo->o", d, _contract_table(6, field.degree))
-        for field, d in zip(fields, partials)
-    )
+    d = _derivatives(field, frame.point, frame.matrix.T, frame.matrix, h)
+    return -np.einsum("jp,jpo->o", d, _contract_table(6, field.degree))
 
 
 def laplacian(fn: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -> float:
@@ -555,6 +517,5 @@ def laplacian(fn: Callable[[np.ndarray], np.ndarray], p: Where, h: float) -> flo
     is called once on the twelve curve points.
     """
     frame = _frame_at(p)
-    gamma, _ = _stencil(frame.point, frame.matrix.T, h)
-    plus, minus = fn(gamma)
+    plus, minus = fn(_stencil(frame.point, frame.matrix.T, h))
     return -float(np.sum(plus - 2.0 * fn(frame.point) + minus)) / (h * h)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,14 @@ def test_deform_rejects_another_suite(capsys, suite):
 def test_deform_without_a_suite_runs_the_linearized_suite(capsys):
     assert run(["verify-s6", "--samples", "1", "--deform", "a=e1"]) == 0
     assert "five_form_vs_volume" in capsys.readouterr().out
+
+
+def test_direction_near_the_float_limit_runs_without_overflow(capsys):
+    argv = ["verify-s6", "--samples", "1", "--deform", "1e308,1e308,1,1,1,1,1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -305,7 +314,16 @@ def test_json_nested_past_the_recursion_limit_exits_two(capsys, kind):
 def test_huge_float_coefficient_exits_two(monkeypatch, capsys):
     # a JSON integer of 401 digits is no float
     payload = '{"mode": "float", "terms": [{"blade": "e12", "coeff": 1%s}]}' % ("0" * 400)
-    _decompose_error("2form", payload, monkeypatch, capsys)
+    err = _decompose_error("2form", payload, monkeypatch, capsys)
+    assert "'e12'" in err and "integer coefficient does not fit a float" in err
+
+
+def test_non_ascii_index_digits_exit_two(monkeypatch, capsys):
+    # Arabic-Indic digits pass str.isdigit, but blade names are ASCII
+    payload = json.dumps({"mode": "exact", "terms": [{"blade": "e\u0661\u0662", "coeff": "1"}]})
+    err = _decompose_error("2form", payload, monkeypatch, capsys)
+    assert "ASCII" in err
+    _assert_usage_error(["verify-s6", "--samples", "1", "--deform", "e\u0663"], capsys)
 
 
 def test_exact_coefficient_with_an_exponent_exits_two_at_once(monkeypatch, capsys):

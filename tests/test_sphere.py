@@ -89,12 +89,18 @@ def test_structure_normal_forms():
         assert max_abs(sp.pullback_form(sp.psi_minus_ambient(q), 3, f) - PM) < 1e-12
 
 
+def _projected(gamma: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The basis (7, m) projected to the tangent space at each point of gamma."""
+    return basis - gamma[..., :, None] * (gamma @ basis)[..., None, :]
+
+
 def test_stencil_points_lie_on_the_sphere():
     rng = np.random.default_rng(3)
     for q in POINTS[:10]:
         f = sp.adapted_frame(q).matrix
         x = 0.3 * rng.standard_normal((5, 6)) @ f.T
-        gamma, v = sp._stencil(q, x, 1e-2, f)
+        gamma = sp._stencil(q, x, 1e-2)
+        v = _projected(gamma, f)
         assert gamma.shape == (2, 5, 7) and v.shape == (2, 5, 7, 6)
         assert np.abs(np.linalg.norm(gamma, axis=-1) - 1.0).max() < 1e-14
         # the projected frame is tangent at each stencil point
@@ -123,7 +129,8 @@ def test_batched_chart_differential_is_the_jacobian():
     basis = sp.adapted_frame(q).matrix @ sp._TURN
     eps = 1e-6
     for h in (1e-3, 0.1):
-        gamma, v = sp._stencil(q, basis.T, h, basis)
+        gamma = sp._stencil(q, basis.T, h)
+        v = _projected(gamma, basis)
         for t, points, diffs in zip((h, -h), gamma, v / np.sqrt(1.0 + h * h)):
             for u, p, d in zip(t * np.eye(6), points, diffs):
                 assert np.abs(sp.normalize(q + basis @ u) - p).max() < 1e-15
@@ -443,35 +450,6 @@ def test_operator_on_a_point_equals_it_on_the_frame(name):
     assert np.array_equal(op(q), op(frame))
 
 
-def test_fields_sharing_a_stencil_equal_one_field_calls():
-    rng = np.random.default_rng(37)
-    phif, _, lam_field, _, s_pp, _ = suites._cl_fields(
-        rng.standard_normal(21), rng.standard_normal((7, 7))
-    )
-    fields = (
-        lam_field,
-        sp.omega_field(),
-        sp.psi_minus_field(),
-        sphere_deformation(np.eye(7)[2]).xi_omega_sq,
-    )
-    assert [field.degree for field in fields] == [0, 2, 3, 5]
-    pair = (phif, s_pp)
-    for q in POINTS[:3]:
-        frame = sp.adapted_frame(q)
-        x = frame.matrix @ rng.standard_normal(6)
-        for h in (1e-3, 5e-4):
-            ops = (
-                (fields, lambda f: sp.ext_d(f, frame, h)),
-                (pair, lambda f: sp.covariant_d(f, x, frame, h)),
-                (pair, lambda f: sp.codifferential(f, frame, h)),
-            )
-            for shared_fields, op in ops:
-                shared = op(shared_fields)
-                assert isinstance(shared, tuple) and len(shared) == len(shared_fields)
-                for field, value in zip(shared_fields, shared):
-                    assert np.array_equal(value, op(field))
-
-
 def test_turn_off_the_frame_is_caught(monkeypatch):
     # with two columns of the turn swapped, _TURN_BACK no longer undoes it,
     # so ext_d reports its result in the wrong basis
@@ -508,14 +486,19 @@ def test_compound_and_pullback_match_permutation_determinants(shape):
         assert np.abs(sp.pullback_form(coeffs, k, v) - coeffs @ expected).max() < 1e-12
 
 
-def test_compound_takes_the_dtype_of_its_input():
-    rng = np.random.default_rng(23)
-    v = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
-    exact = np.array(
+def _rational_matrix(rng: np.random.Generator) -> np.ndarray:
+    """(7, 6) object array of small random `Fraction`s."""
+    return np.array(
         [[Fraction(int(n), int(d)) for n, d in zip(row, den)]
          for row, den in zip(rng.integers(-9, 10, (7, 6)), rng.integers(1, 10, (7, 6)))],
         dtype=object,
     )
+
+
+def test_compound_takes_the_dtype_of_its_input():
+    rng = np.random.default_rng(23)
+    v = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+    exact = _rational_matrix(rng)
     for k in range(7):
         minors = sp.compound(v, k)
         assert minors.dtype == complex
@@ -524,6 +507,38 @@ def test_compound_takes_the_dtype_of_its_input():
         assert minors.dtype == object
         assert all(isinstance(x, (int, Fraction)) for x in minors.flat)
         assert minors.tolist() == _minors_oracle(exact, k).tolist()
+
+
+def _off_point(g: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
+    """a - g ^ (g -| a) on the ambient tables read as integers, so that
+    `Fraction` object arrays stay exact."""
+    if not k:
+        return a
+    contract = sp._contract_table(7, k).astype(int).astype(object)
+    wedge = sp._wedge_table(7, 1, k - 1).astype(int).astype(object)
+    inner = np.einsum("i,a,iab->b", g, a, contract)
+    return a - np.einsum("i,b,ibc->c", g, inner, wedge)
+
+
+def test_projecting_off_a_point_is_pulling_back_along_its_projector():
+    # at a unit g, a - g ^ (g -| a) pulled back along B is a pulled back
+    # along (1 - g g^T) B: the identity every stencil derivative rests on
+    rng = np.random.default_rng(41)
+    g = sp.normalize(rng.standard_normal(7))
+    basis = rng.standard_normal((7, 6))
+    g_exact = np.array([Fraction(3, 5), Fraction(4, 5), 0, 0, 0, 0, 0], dtype=object)
+    basis_exact = _rational_matrix(rng)
+    projector = np.eye(7, dtype=int).astype(object) - np.outer(g_exact, g_exact)
+    for k in range(7):
+        a = rng.standard_normal(len(sp.combos(7, k)))
+        off = a - sp.wedge_ambient(g, 1, sp.contract_ambient(g, a, k), k - 1) if k else a
+        along = sp.pullback_form(a, k, basis - np.outer(g, g @ basis))
+        assert np.abs(sp.pullback_form(off, k, basis) - along).max() < 1e-12
+        a_exact = np.array([Fraction(int(n), 7) for n in rng.integers(-9, 10, a.shape)],
+                           dtype=object)
+        exact_off = sp.pullback_form(_off_point(g_exact, a_exact, k), k, basis_exact)
+        assert all(isinstance(x, (int, Fraction)) for x in exact_off.flat)
+        assert exact_off.tolist() == sp.pullback_form(a_exact, k, projector @ basis_exact).tolist()
 
 
 def test_batched_pullback_equals_single_calls():
