@@ -46,8 +46,7 @@ S6_SUITES = ("gray", "linearized", "spectral", "cl", "all")
 
 
 def _emit(report: VerificationReport, out: str | None) -> int:
-    for line in report.summary_lines():
-        print(line)
+    # the report goes first, so a failed write leaves nothing on stdout
     if out is not None:
         try:
             with open(out, "w") as fh:
@@ -55,6 +54,8 @@ def _emit(report: VerificationReport, out: str | None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+    for line in report.summary_lines():
+        print(line)
     return 0 if report.all_passed else 1
 
 

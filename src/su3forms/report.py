@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 #: residuals below this are treated as roundoff floor; ratios between two
@@ -61,7 +62,7 @@ class VerificationReport:
         return {
             "suite": self.suite,
             "h": self.h,
-            "samples": self.samples,
+            "samples": int(self.samples),  # a numpy integer is a valid count
             "seed": self.seed,
             "checks": [
                 c.to_json_dict() for c in sorted(self.checks, key=lambda c: c.name)
@@ -83,8 +84,11 @@ class VerificationReport:
 
 
 def require_count(name: str, value: int) -> None:
-    """Reject a run with no trials or samples: a check that saw no data
-    would report residual 0 and pass."""
+    """Reject a count that is not an integer (a bool or a float, say), and a
+    run with no trials or samples: a check that saw no data would report
+    residual 0 and pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
@@ -138,3 +142,9 @@ class Ledger:
         if conv is not None:
             ok = ok and ORDER_BAND[0] <= conv <= ORDER_BAND[1]
         return CheckResult(name, float(residual), conv, ok)
+
+    def results(
+        self, tol: float, order: tuple[int, int] | None = None
+    ) -> tuple[CheckResult, ...]:
+        """Every name added, in first-added order, judged as by `result`."""
+        return tuple(self.result(name, tol, order) for name in self._worst)

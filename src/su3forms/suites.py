@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -82,6 +82,14 @@ def _frames(seed: int, samples: int) -> list[sp.AdaptedFrame]:
     return [sp.adapted_frame(p) for p in sp.random_points(seed, samples)]
 
 
+def _sweep(ledger: Ledger, h: float, residuals: Callable[[float], Iterable[tuple]]) -> None:
+    """Max-norm of each (name, residual) of residuals(step), at h into slot 0
+    and at h/2 into slot 1."""
+    for slot, step in enumerate((h, h / 2)):
+        for name, r in residuals(step):
+            ledger.add(name, _max_norm(r), slot)
+
+
 # ---------------------------------------------------------------------------
 # Gray system
 
@@ -116,22 +124,13 @@ def verify_gray(
         xf = f.T @ x
         x_pp = xf @ sp.kernel_matrix(_into_psi_plus, 1, 2)
         x_om = xf @ sp.kernel_matrix(_wedge_omega, 1, 3)
-        for idx, step in enumerate((h, h / 2)):
-            d_om = sp.ext_d(ofield, frame, step)
-            d_pm = sp.ext_d(pmfield, frame, step)
-            nabla_om = sp.covariant_d(ofield, x, frame, step)
-            nabla_pp = sp.covariant_d(ppfield, x, frame, step)
-            ledger.add("d_omega_vs_psi_plus", _max_norm(d_om - 3.0 * _PP), idx)
-            ledger.add("d_psi_minus_vs_omega_sq", _max_norm(d_pm + 2.0 * _OM2), idx)
-            ledger.add("nabla_omega_vs_contraction", _max_norm(nabla_om - x_pp), idx)
-            ledger.add("nabla_psi_plus_vs_wedge", _max_norm(nabla_pp + x_om), idx)
-
-    checks = tuple(
-        ledger.result(name, GRAY_TOL, order=(0, 1))
-        for name in ("d_omega_vs_psi_plus", "d_psi_minus_vs_omega_sq",
-                     "nabla_omega_vs_contraction", "nabla_psi_plus_vs_wedge")
-    )
-    return VerificationReport("gray", h, samples, seed, checks)
+        _sweep(ledger, h, lambda step: (
+            ("d_omega_vs_psi_plus", sp.ext_d(ofield, frame, step) - 3.0 * _PP),
+            ("d_psi_minus_vs_omega_sq", sp.ext_d(pmfield, frame, step) + 2.0 * _OM2),
+            ("nabla_omega_vs_contraction", sp.covariant_d(ofield, x, frame, step) - x_pp),
+            ("nabla_psi_plus_vs_wedge", sp.covariant_d(ppfield, x, frame, step) + x_om),
+        ))
+    return VerificationReport("gray", h, samples, seed, ledger.results(GRAY_TOL, order=(0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +153,12 @@ def verify_spectral(samples: int = 50, h: float = 1e-3, seed: int = 0) -> Verifi
     sp.require_suite_step(h)
     frames = _frames(seed, samples)
     ledger = Ledger()
-    for name, fn, ev, sup in _HARMONICS:
-        scale = ev * sup
-        for idx, step in enumerate((h, h / 2)):
-            for f in frames:
-                ledger.add(name, abs(sp.laplacian(fn, f, step) - ev * fn(f.point)) / scale, idx)
-
-    checks = (
-        ledger.result("laplacian_linear_harmonics", SPECTRAL_TOL, order=(0, 1)),
-        ledger.result("laplacian_quadratic_harmonic", SPECTRAL_TOL, order=(0, 1)),
-    )
+    for f in frames:
+        _sweep(ledger, h, lambda step: (
+            (name, (sp.laplacian(fn, f, step) - ev * fn(f.point)) / (ev * sup))
+            for name, fn, ev, sup in _HARMONICS
+        ))
+    checks = ledger.results(SPECTRAL_TOL, order=(0, 1))
     return VerificationReport("spectral", h, samples, seed, checks)
 
 
@@ -242,7 +237,7 @@ def deformation_span_ratio(seed: int = 0) -> float:
 
 def _linearized_checks(
     a: np.ndarray, frames: list[sp.AdaptedFrame], h: float, defect: str | None
-) -> list[CheckResult]:
+) -> tuple[CheckResult, ...]:
     """The three linearized identities along the bundle of a, at frames."""
     bundle = sphere_deformation(a)
     pp_dot = bundle.psi_plus_dot
@@ -269,7 +264,7 @@ def _linearized_checks(
             # slot 0: their Richardson extrapolation; slots 1 and 2: h and h/2
             for idx, d in enumerate(((4.0 * d_half - d_h) / 3.0, d_h, d_half)):
                 ledger.add(name, _max_norm(d - claimed), idx)
-    return [ledger.result(name, LINEARIZED_TOL, order=(1, 2)) for name, _, _ in identities]
+    return ledger.results(LINEARIZED_TOL, order=(1, 2))
 
 
 def _span_check(seed: int) -> CheckResult:
@@ -431,34 +426,33 @@ def verify_cl_identities(
     mats = [sp.standard_normals(rng, 49).reshape(7, 7) for _ in range(n_fields)]
     fields = [_cl_fields(beta, a) for beta, a in zip(betas, mats)]
 
+    # identities 1-5 at one step, each operator value computed once for all of them
+    def residuals(frame_fields, frame, step):
+        phif, h_amb, lam_field, s_amb, s_pp, s_pm = frame_fields
+        dlam, d_phi, d_spm = (sp.ext_d(f, frame, step) for f in (lam_field, phif, s_pm))
+        delta_phi, delta_spp = (sp.codifferential(f, frame, step) for f in (phif, s_pp))
+        div_h, div_s = (sp.divergence_endo(e, frame, step) for e in (h_amb, s_amb))
+        lam_d_spm = d_spm @ sp.kernel_matrix(lefschetz_contract, 4, 2)
+        rhs3 = -lam_d_spm - 2.0 * (div_s @ sp.kernel_matrix(_into_psi_plus, 1, 2))
+        return (
+            ("lefschetz_d_phi_vs_divergence",
+             d_phi @ sp.kernel_matrix(lefschetz_contract, 3, 1) - (div_h + 2.0 * dlam)),
+            ("divergence_h_vs_j_delta_phi", div_h + delta_phi @ sp.kernel_matrix(_j, 1, 1)),
+            ("delta_s_psi_plus_identity", delta_spp - rhs3),
+            ("alpha_lefschetz_vs_divergence_s",
+             lam_d_spm @ sp.kernel_matrix(alpha_map, 2, 1) + 2.0 * div_s),
+            ("lefschetz_delta_s_psi_plus", delta_spp @ sp.kernel_matrix(lefschetz_contract, 2, 0)),
+        )
+
     ledger = Ledger()
     for n, frame in enumerate(_frames(seed, samples)):
-        phif, h_amb, lam_field, s_amb, s_pp, s_pm = fields[n % n_fields]
-        for idx, step in enumerate((h, h / 2)):
-            dlam, d_phi, d_spm = (sp.ext_d(f, frame, step) for f in (lam_field, phif, s_pm))
-            delta_phi, delta_spp = (sp.codifferential(f, frame, step) for f in (phif, s_pp))
-            div_h = sp.divergence_endo(h_amb, frame, step)
-            lhs1 = d_phi @ sp.kernel_matrix(lefschetz_contract, 3, 1)
-            ledger.add("lefschetz_d_phi_vs_divergence",
-                       _max_norm(lhs1 - (div_h + 2.0 * dlam)), idx)
-
-            ledger.add("divergence_h_vs_j_delta_phi",
-                       _max_norm(div_h + delta_phi @ sp.kernel_matrix(_j, 1, 1)), idx)
-
-            div_s = sp.divergence_endo(s_amb, frame, step)
-            lam_d_spm = d_spm @ sp.kernel_matrix(lefschetz_contract, 4, 2)
-            rhs3 = -lam_d_spm - 2.0 * (div_s @ sp.kernel_matrix(_into_psi_plus, 1, 2))
-            ledger.add("delta_s_psi_plus_identity", _max_norm(delta_spp - rhs3), idx)
-            alpha = lam_d_spm @ sp.kernel_matrix(alpha_map, 2, 1)
-            ledger.add("alpha_lefschetz_vs_divergence_s",
-                       _max_norm(alpha + 2.0 * div_s), idx)
-            ledger.add("lefschetz_delta_s_psi_plus",
-                       _max_norm(delta_spp @ sp.kernel_matrix(lefschetz_contract, 2, 0)), idx)
+        _sweep(ledger, h, lambda step: residuals(fields[n % n_fields], frame, step))
 
     n_gate = max(2, samples // 10)
     # the family's unit coefficients: constant parts, then each (m, i) entry of lin
     units = [(c, None) for c in np.eye(21)]
     units += [(np.zeros(21), lin.reshape(7, 21)) for lin in np.eye(7 * 21)]
+    gate, coclosed = Ledger(), Ledger()
     for frame in _frames(seed + 1, n_gate):
         columns = [
             sp.codifferential(invariant_two_form_field(c, lin, primitive=True), frame, h)
@@ -469,24 +463,18 @@ def verify_cl_identities(
             k = kernel @ sp.standard_normals(rng, kernel.shape[1])
             k /= np.linalg.norm(k)
             field = invariant_two_form_field(k[:21], k[21:].reshape(7, 21), primitive=True)
-            ledger.add("coclosed_gate", np.linalg.norm(sp.codifferential(field, frame, h)))
+            gate.add("coclosed_gate", np.linalg.norm(sp.codifferential(field, frame, h)))
             dphi0 = sp.ext_d(field, frame, h)
-            ledger.add("coclosed_d_phi_wedge_psi_plus",
-                       _max_norm(dphi0 @ sp.kernel_matrix(_wedge_psi_plus, 3, 6)))
-            ledger.add("coclosed_d_phi_wedge_psi_minus",
-                       _max_norm(dphi0 @ sp.kernel_matrix(_wedge_psi_minus, 3, 6)))
-            ledger.add("coclosed_d_phi_lefschetz",
-                       _max_norm(dphi0 @ sp.kernel_matrix(lefschetz_contract, 3, 1)))
+            coclosed.add("coclosed_d_phi_wedge_psi_plus",
+                         _max_norm(dphi0 @ sp.kernel_matrix(_wedge_psi_plus, 3, 6)))
+            coclosed.add("coclosed_d_phi_wedge_psi_minus",
+                         _max_norm(dphi0 @ sp.kernel_matrix(_wedge_psi_minus, 3, 6)))
+            coclosed.add("coclosed_d_phi_lefschetz",
+                         _max_norm(dphi0 @ sp.kernel_matrix(lefschetz_contract, 3, 1)))
 
-    checks = tuple(
-        ledger.result(name, CL_TOL, order=(0, 1))
-        for name in ("lefschetz_d_phi_vs_divergence", "divergence_h_vs_j_delta_phi",
-                     "delta_s_psi_plus_identity", "alpha_lefschetz_vs_divergence_s",
-                     "lefschetz_delta_s_psi_plus")
-    ) + (
-        ledger.result("coclosed_gate", COCLOSED_GATE_TOL),
-        ledger.result("coclosed_d_phi_wedge_psi_plus", CL_TOL),
-        ledger.result("coclosed_d_phi_wedge_psi_minus", CL_TOL),
-        ledger.result("coclosed_d_phi_lefschetz", CL_TOL),
+    checks = (
+        ledger.results(CL_TOL, order=(0, 1))
+        + gate.results(COCLOSED_GATE_TOL)
+        + coclosed.results(CL_TOL)
     )
     return VerificationReport("cl", h, samples, seed, checks)

@@ -326,3 +326,10 @@ def test_unknown_algebra_mode_is_rejected_before_any_trial(monkeypatch):
 def test_empty_algebra_run_is_rejected(trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):
         run_algebra_suite(trials=trials)
+
+
+@pytest.mark.parametrize("trials", [True, False, 2.5, 1.0])
+def test_trial_counts_that_are_not_integers_are_rejected(trials):
+    # True would run one trial and write "samples": true
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        run_algebra_suite(trials=trials)

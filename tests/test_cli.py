@@ -194,6 +194,21 @@ def test_empty_report_path_exits_two(tmp_path, capsys, monkeypatch, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-algebra", "--trials", "1"], ["verify-s6", "--suite", "gray", "--samples", "1"]],
+)
+def test_report_that_fails_to_write_leaves_nothing_on_stdout(tmp_path, capsys, argv):
+    # a name too long for the file system passes every check made before the
+    # run; the write fails, and no summary line may precede its error
+    assert run([*argv, "--out", str(tmp_path / ("a" * 300))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "error:" in line
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("suite, samples", [("gray", "0"), ("gray", "-1"), ("spectral", "0")])
 def test_empty_sphere_run_exits_two(capsys, suite, samples):
     assert run(["verify-s6", "--suite", suite, "--samples", samples]) == 2

@@ -21,6 +21,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 from su3forms import cli
@@ -193,8 +194,9 @@ _VALUES = {
     "--seed": ("0", "1", "-5", "x", "99999999999999999999", "1.0"),
     "--mode": ("exact", "float", "nope"),
     "--suite": ("gray", "spectral", "linearized", "cl", "all", "nope", ""),
-    # never a file that a run would leave behind
-    "--out": ("", ".", os.devnull),
+    # never a file that a run would leave behind: the last name is too long
+    # for any file system to create, in a directory that can be written
+    "--out": ("", ".", os.devnull, os.path.join(tempfile.gettempdir(), "a" * 300)),
 }
 _ARGVS = (
     ["verify-algebra", "--trials", "1", "--seed", "0", "--mode", "exact"],

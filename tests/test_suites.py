@@ -144,6 +144,13 @@ def test_empty_runs_are_rejected(suite, samples):
 
 
 @pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("samples", [True, 2.5, 1.0, "3"])
+def test_sample_counts_that_are_not_integers_are_rejected(suite, samples):
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        suite(samples=samples)
+
+
+@pytest.mark.parametrize("suite", SUITES)
 @pytest.mark.parametrize("h", [1.5e-7, 2e-7, 0.1, 1.0, np.inf, np.nan])
 def test_steps_outside_the_usable_range_are_rejected_on_entry(monkeypatch, suite, h):
     # each suite also runs at h/2, so h must exceed 2 MIN_STEP, and h < MAX_STEP
