@@ -35,8 +35,6 @@ from su3forms.structure import (
     endo_act,
     endo_from_two_form,
     gate_fails,
-    j_compose_left,
-    j_compose_right,
     lefschetz_contract,
     omega,
     psi_minus,
@@ -145,7 +143,7 @@ def params_to_jet(params: DeformationParams) -> SU3Jet:
     xi_j = j.apply(params.xi)
     return SU3Jet(
         g_dot=h + params.s,
-        j_dot=j_compose_left(params.s) + vector_cross_endo(params.xi),
+        j_dot=j @ params.s + vector_cross_endo(params.xi),
         omega_dot=params.phi + contract(params.xi, pp),
         psi_plus_dot=(
             -wedge(params.xi, om)
@@ -185,10 +183,10 @@ def check_jet_consistency(jet: SU3Jet) -> dict[str, Scalar]:
     wedge_res = wedge(jet.psi_plus_dot, om) + wedge(pp, jet.omega_dot)
     h = sym_plus_from_two_form(type_project(jet.omega_dot, 1, 1))
     norm_res = abs(h.trace() - inner(jet.psi_plus_dot, pp))
-    anti_res = (j_compose_right(jet.j_dot) + j_compose_left(jet.j_dot)).max_norm()
+    anti_res = (jet.j_dot @ j + j @ jet.j_dot).max_norm()
     sym_res = (jet.g_dot - jet.g_dot.transpose()).max_norm()
     xi_res = (lefschetz_contract(jet.psi_plus_dot) + alpha_map(jet.omega_dot)).max_norm()
-    metric_res = endo_from_two_form(jet.omega_dot) - (j_compose_right(jet.g_dot) + jet.j_dot)
+    metric_res = endo_from_two_form(jet.omega_dot) - (jet.g_dot @ j + jet.j_dot)
     return {
         "wedge_constraint": wedge_res.max_norm(),
         "norm_constraint": norm_res,
@@ -216,7 +214,7 @@ def jet_to_params(jet: SU3Jet) -> DeformationParams:
     mu = inner(jet.psi_plus_dot, psi_minus(mode)) / coerce_scalar(4, mode)
     phi = type_project(jet.omega_dot, 1, 1)
     j_s, xi_from_j = decompose_anti_endo(jet.j_dot)
-    s = -j_compose_left(j_s)
+    s = -(j @ j_s)
     xi_err = (xi - xi_from_j).max_norm()
     if gate_fails(xi_err, mode):
         raise InconsistentJetError(["xi_from_j_dot"])

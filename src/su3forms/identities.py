@@ -39,7 +39,7 @@ from su3forms.forms import (
     scalar_zero,
     wedge,
 )
-from su3forms.report import Ledger, VerificationReport, require_count
+from su3forms.report import Ledger, VerificationReport, require_count, require_seed
 from su3forms.structure import (
     TYPE_EIGENVALUES,
     Endo,
@@ -50,7 +50,6 @@ from su3forms.structure import (
     decompose_two_form,
     endo_act,
     form_to_sym_minus,
-    j_compose_left,
     lefschetz_contract,
     omega,
     psi_minus,
@@ -198,7 +197,7 @@ def star_primitive_and_vector_wedge(rng, mode):
 
 def sym_minus_j_conjugation(rng, mode):
     s = sampling.random_sym_minus(rng, mode)
-    js = j_compose_left(s)
+    js = complex_structure(mode) @ s
     return _worst(endo_act(s, psi_plus(mode)) - endo_act(js, psi_minus(mode)))
 
 
@@ -392,6 +391,7 @@ def run_algebra_suite(
     raises ModeError before the first trial.
     """
     require_count("trials", trials)
+    seed = require_seed(seed)
     if mode not in MODES:
         raise ModeError(f"unknown mode {mode!r}")
     rng = random.Random(seed)

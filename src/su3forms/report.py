@@ -83,14 +83,25 @@ class VerificationReport:
         return lines
 
 
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def require_count(name: str, value: int) -> None:
     """Reject a count that is not an integer (a bool or a float, say), and a
     run with no trials or samples: a check that saw no data would report
     residual 0 and pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
+    if _integer(name, value) < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def require_seed(seed: int) -> int:
+    """The seed as an int.  A bool, float, string or None is rejected: it
+    would seed `random` and be written into the report as given.  A numpy
+    integer becomes the equal int, so its report has the same bytes."""
+    return _integer("seed", seed)
 
 
 def observed_order(residual_h: float, residual_half: float) -> float | None:

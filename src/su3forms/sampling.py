@@ -20,8 +20,7 @@ from functools import cache
 from su3forms.forms import DIM, EXACT, Form, Scalar, blades_of_degree
 from su3forms.structure import (
     Endo,
-    j_compose_left,
-    j_compose_right,
+    complex_structure,
     lefschetz_contract,
     omega,
     sym_minus_basis,
@@ -60,7 +59,8 @@ def random_sym_plus(rng: random.Random, mode: str = EXACT) -> Endo:
         mode,
         [[sample_scalar(rng, mode) for _ in range(DIM)] for _ in range(DIM)],
     ).sym_part()
-    return (a - j_compose_left(j_compose_right(a))).scale(Fraction(1, 2))
+    j = complex_structure(mode)
+    return (a - j @ a @ j).scale(Fraction(1, 2))
 
 
 @cache

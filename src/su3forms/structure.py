@@ -86,16 +86,6 @@ class Endo:
         self._set(mode, *_numerators(entries, mode))
 
     @classmethod
-    def _trusted(cls, mode: str, rows: Sequence[Sequence[Scalar]]) -> "Endo":
-        """Endo from 6x6 rows already of the mode's scalar type.
-
-        Skips the validation and coercion of `__init__`; only for values
-        computed from operands of the same mode.
-        """
-        entries = [x for row in rows for x in row]
-        return object.__new__(cls)._set(mode, *_numerators(entries, mode))
-
-    @classmethod
     def _of(cls, mode: str, nums: Iterable[Scalar], den: int = 1) -> "Endo":
         """Endo with the 36 row-major numerators nums over den, brought to
         lowest terms in exact mode."""
@@ -174,12 +164,24 @@ class Endo:
             return NotImplemented
         if self.mode != other.mode:
             raise ModeError(f"cannot combine {self.mode} and {other.mode} endos")
-        zero = 0.0 if self.mode == FLOAT else 0
-        a, b = self._nums, other._nums
-        cols = [b[j::DIM] for j in range(DIM)]
-        nums = [
-            _dot(a[i : i + DIM], col, zero) for i in range(0, DIM * DIM, DIM) for col in cols
+        # row i of the product is the sum of x * (row k of other) over the
+        # nonzero x = self[i, k], skipping the zero entries of other too, so
+        # a product with J costs 36 multiplications; each entry adds its
+        # nonzero terms in order of k, and one without any is zero
+        b = other._nums
+        b_rows = [
+            [(j, y) for j, y in enumerate(b[k : k + DIM]) if y] for k in range(0, DIM * DIM, DIM)
         ]
+        a = self._nums
+        out = [None] * (DIM * DIM)
+        for i in range(0, DIM * DIM, DIM):
+            for x, b_row in zip(a[i : i + DIM], b_rows):
+                if x:
+                    for j, y in b_row:
+                        acc = out[i + j]
+                        out[i + j] = x * y if acc is None else acc + x * y
+        zero = 0.0 if self.mode == FLOAT else 0
+        nums = [zero if v is None else v for v in out]
         return Endo._of(self.mode, nums, self._den * other._den)
 
     def transpose(self) -> "Endo":
@@ -462,7 +464,7 @@ def endo_from_two_form(a: Form) -> Endo:
 def sym_plus_from_two_form(phi: Form) -> Endo:
     """The J-commuting symmetric h with phi(X, Y) = g(hJX, Y), for a (1,1)-form
     phi; omega maps to the identity."""
-    return -j_compose_right(endo_from_two_form(phi))
+    return -(endo_from_two_form(phi) @ complex_structure(phi.mode))
 
 
 # ---------------------------------------------------------------------------
@@ -510,33 +512,10 @@ def sym_minus_combination(coeffs: Sequence, mode: str = EXACT) -> Endo:
     return Endo._of(mode, entries, den)
 
 
-def j_compose_left(a: Endo) -> Endo:
-    """J a, using that J is a signed permutation of coordinate pairs."""
-    rows = a.rows
-    out = []
-    for i in range(0, DIM, 2):
-        out.append([-x for x in rows[i + 1]])
-        out.append(rows[i])
-    return Endo._trusted(a.mode, out)
-
-
-def j_compose_right(a: Endo) -> Endo:
-    """a J, the column-side counterpart of `j_compose_left`."""
-    rows = []
-    for r in a.rows:
-        row = list(r)
-        for i in range(0, DIM, 2):
-            row[i], row[i + 1] = r[i + 1], -r[i]
-        rows.append(row)
-    return Endo._trusted(a.mode, rows)
-
-
 def sym_minus_residual(a: Endo) -> Scalar:
     """Max-norm distance of a from being symmetric and J-anticommuting."""
-    return max(
-        (a - a.transpose()).max_norm(),
-        (j_compose_right(a) + j_compose_left(a)).max_norm(),
-    )
+    j = complex_structure(a.mode)
+    return max((a - a.transpose()).max_norm(), (a @ j + j @ a).max_norm())
 
 
 # ---------------------------------------------------------------------------
@@ -635,15 +614,13 @@ def decompose_three_form(u: Form) -> ThreeFormParts:
     for i in range(DIM):
         contracted = _contract_basis_terms(i, nums)
         b.append([_inner_sum(contracted, t, zero) for t in _PSI_PLUS_CONTRACTIONS])
-    c = [[b[i][j] + b[j][i] for j in range(DIM)] for i in range(DIM)]
-    # -8 S = C + JCJ, and (JCJ)_ij = -C_{i^1, j^1} if i + j is even, else +
-    minus_8s = [
-        c[i][j] + (-1) ** (i + j + 1) * c[i ^ 1][j ^ 1] for i in range(DIM) for j in range(DIM)
-    ]
-    if mode == EXACT:
-        s = Endo._of(EXACT, [-x for x in minus_8s], 8 * den)
-    else:
-        s = Endo._of(FLOAT, [zero - x / 8 for x in minus_8s])
+    # S = (-C + J(-C)J) / 8; C is negated as it is built, so that a zero
+    # entry of a float S is 0.0 rather than -0.0
+    minus_c = Endo._of(
+        mode, [zero - b[i][j] - b[j][i] for i in range(DIM) for j in range(DIM)], den
+    )
+    j = complex_structure(mode)
+    s = (minus_c + j @ minus_c @ j).scale(Fraction(1, 8))
     parts = ThreeFormParts(alpha, lam, mu, s)
     _residual_guard(u, parts.reconstruct(), "3-form decomposition")
     return parts
@@ -672,7 +649,8 @@ def decompose_anti_endo(f: Endo) -> tuple[Endo, Form]:
     S is the symmetric part and K_xi the skew part g(K_xi X, Y) =
     psi_plus(xi, X, Y); returns (S, xi).  Raises if f commutes with J in part.
     """
-    anti_err = (j_compose_right(f) + j_compose_left(f)).max_norm()
+    j = complex_structure(f.mode)
+    anti_err = (f @ j + j @ f).max_norm()
     if gate_fails(anti_err, f.mode):
         raise DecompositionError(f"endomorphism does not anticommute with J: {anti_err}")
     s = f.sym_part()

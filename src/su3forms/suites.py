@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from su3forms.forms import Form, contract, wedge
-from su3forms.report import CheckResult, Ledger, VerificationReport, require_count
+from su3forms.report import CheckResult, Ledger, VerificationReport, require_count, require_seed
 from su3forms.structure import (
     alpha_map,
     complex_structure,
@@ -105,6 +105,7 @@ def verify_gray(
     suite must flag with an O(1) residual.
     """
     require_count("samples", samples)
+    seed = require_seed(seed)
     sp.require_suite_step(h)
     rng = random.Random(seed)
     ofield = sp.omega_field()
@@ -150,6 +151,7 @@ def verify_spectral(samples: int = 50, h: float = 1e-3, seed: int = 0) -> Verifi
     7 for q0 q1), which no sample point can shrink.
     """
     require_count("samples", samples)
+    seed = require_seed(seed)
     sp.require_suite_step(h)
     frames = _frames(seed, samples)
     ledger = Ledger()
@@ -302,6 +304,7 @@ def verify_linearized(
     defect="scale_psi_plus_dot" multiplies psi_plus_dot by 1.1.
     """
     require_count("samples", samples)
+    seed = require_seed(seed)
     sp.require_suite_step(h)
     require_direction(a)
     a = np.asarray(a, dtype=float) / np.abs(a).max()
@@ -324,6 +327,7 @@ def verify_linearized_basis(
     before a passing one, then the larger residual, NaN largest; ties keep
     the first).  The span-rank check has no direction and is taken once."""
     require_count("samples", samples)
+    seed = require_seed(seed)
     sp.require_suite_step(h)
     frames = _frames(seed, samples)
     by_name: dict[str, list[CheckResult]] = {}
@@ -419,6 +423,7 @@ def verify_cl_identities(
     d(phi_0) ^ psi_minus = 0, Lambda d(phi_0) = 0.
     """
     require_count("samples", samples)
+    seed = require_seed(seed)
     sp.require_suite_step(h)
     rng = random.Random(seed)
     n_fields = 2

@@ -7,11 +7,13 @@ behind alpha, the (2,0) projection and the S part of a 3-form, or the psi
 lines of the (3,0) projection.  Others corrupt one step of the integer arithmetic of
 `Endo`, which keeps 36 numerators over one denominator: a transpose that
 leaves the entries in place, a product over the wrong denominator (which
-the suite passes, so it must fail the product oracle instead), a trace
-that forgets the denominator, a sum that does not rescale its second
-operand to the common denominator, and compositions with J that drop the
-sign of its signed permutation.  An element of u(3) outside su(3) in the
-spanning set of su(3) must fail `su3_invariance`.  A wrong eigenvalue of
+the suite meets in one check only, so it must fail the product oracle
+too), a trace that forgets the denominator, and a sum that does not
+rescale its second operand to the common denominator.  A J with the signs
+of its signed permutation dropped must fail a pinned set of checks, since
+every composition with J is a product with `complex_structure()`.  An
+element of u(3) outside su(3) in the spanning set of su(3) must fail
+`su3_invariance`.  A wrong eigenvalue of
 the squared J action corrupts the expectation of `type_projector_algebra`
 instead; `TYPE_EIGENVALUES` feeds nothing else but the (p,q) check of
 `type_project`.  The caches are cleared,
@@ -55,6 +57,11 @@ def fresh_caches():
 def _exact_check(name: str):
     report = run_algebra_suite(trials=3, seed=0, mode="exact")
     return next(c for c in report.checks if c.name == name)
+
+
+def _failed_checks() -> set[str]:
+    report = run_algebra_suite(trials=3, seed=0, mode="exact")
+    return {c.name for c in report.checks if not c.passed}
 
 
 def _assert_caught(name: str, inject) -> None:
@@ -153,14 +160,16 @@ def _product_over_one_denominator(self: Endo, other: Endo) -> Endo:
     return Endo._of(self.mode, nums, self._den)
 
 
-def test_product_over_the_wrong_denominator_is_caught(monkeypatch):
-    # the only products in a trial are A J and J A, whose right operand has
-    # denominator 1, where the defect changes nothing; so the suite passes
-    # it, and the products of basis endomorphisms against the nested-sum
-    # oracle must fail instead
+def test_product_over_the_wrong_denominator_is_caught(fresh_caches, monkeypatch):
+    # the defect changes nothing where the left operand carries the whole
+    # denominator; in a trial only J (A J) with A = (B + B^T)/2 does not, in
+    # `random_sym_plus`, and the products of basis endomorphisms against the
+    # nested-sum oracle must fail as well
     assert endo_product_mismatches() == []
+    assert _failed_checks() == set()
     monkeypatch.setattr(Endo, "__matmul__", _product_over_one_denominator)
     assert endo_product_mismatches()
+    assert _failed_checks() == {"sym_plus_action_trace"}
 
 
 def test_u3_element_in_the_su3_spanning_set_is_caught(fresh_caches, monkeypatch):
@@ -204,75 +213,44 @@ def test_sum_without_rescaling_the_second_operand_is_caught(fresh_caches, monkey
     )
 
 
-def _unsigned_j_left(a: Endo) -> Endo:
-    nums = a._nums
-    out = []
-    for i in range(0, 36, 12):
-        out += nums[i + 6 : i + 12]
-        out += nums[i : i + 6]
-    return Endo._of(a.mode, out, a._den)
+def _unsign_j(monkeypatch) -> None:
+    """Swap each coordinate pair symmetrically: J with its signs dropped."""
+    unsigned = tuple(tuple(map(abs, row)) for row in structure._J_ROWS)
+    _clear_caches()
+    monkeypatch.setattr(structure, "_J_ROWS", unsigned)
 
 
-def _unsigned_j_right(a: Endo) -> Endo:
-    nums = a._nums
-    out = []
-    for i in range(0, 36, 2):
-        out += (nums[i + 1], nums[i])
-    return Endo._of(a.mode, out, a._den)
-
-
-def _patch_everywhere(monkeypatch, name: str, value) -> None:
-    """Replace a kernel function in every flat module that imported it."""
-    for module in FLAT_MODULES:
-        mod = importlib.import_module(f"su3forms.{module}")
-        if hasattr(mod, name):
-            monkeypatch.setattr(mod, name, value)
-
-
-def _failed_checks() -> set[str]:
-    report = run_algebra_suite(trials=3, seed=0, mode="exact")
-    return {c.name for c in report.checks if not c.passed}
-
-
-# S fails its own validation under either defect, so the jet checks record
-# NaN rather than a residual
-J_DEFECTS = {
-    "j_compose_left": (
-        _unsigned_j_left,
-        {
-            "sym_minus_j_conjugation",
-            "sym_plus_action_trace",
-            "anti_endo_round_trip",
-            "params_jet_round_trip",
-            "jet_constraint_residuals",
-        },
-    ),
-    "j_compose_right": (
-        _unsigned_j_right,
-        {
-            "sym_plus_action_trace",
-            "anti_endo_round_trip",
-            "params_jet_round_trip",
-            "jet_constraint_residuals",
-            "scaling_curve",
-        },
-    ),
+# the decompositions and the jet round trip raise inside their checks, which
+# record NaN
+UNSIGNED_J_FAILURES = {
+    "alpha_map_normalization",
+    "anti_endo_round_trip",
+    "jet_constraint_residuals",
+    "lefschetz_on_vector_psi",
+    "params_jet_round_trip",
+    "psi_minus_from_j",
+    "psi_minus_wedge_contractions",
+    "psi_plus_wedge_contractions",
+    "scaling_curve",
+    "su3_invariance",
+    "sym_minus_isomorphism",
+    "sym_minus_j_conjugation",
+    "sym_plus_action_trace",
+    "three_form_round_trip",
+    "type_projector_algebra",
 }
 
 
-@pytest.mark.parametrize("name", sorted(J_DEFECTS))
-def test_unsigned_j_composition_is_caught(fresh_caches, monkeypatch, name):
-    defect, expected = J_DEFECTS[name]
+def test_unsigned_complex_structure_is_caught(fresh_caches, monkeypatch):
     assert _failed_checks() == set()
-    _clear_caches()
-    _patch_everywhere(monkeypatch, name, defect)
-    assert _failed_checks() == expected
+    _unsign_j(monkeypatch)
+    assert _failed_checks() == UNSIGNED_J_FAILURES
 
 
 def test_kernel_defect_fails_checks_instead_of_crashing(
     fresh_caches, monkeypatch, tmp_path, capsys
 ):
-    _patch_everywhere(monkeypatch, "j_compose_left", _unsigned_j_left)
+    _unsign_j(monkeypatch)
     out = tmp_path / "report.json"
     assert cli.main(["verify-algebra", "--trials", "2", "--out", str(out)]) == 1
     failed = {c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]}

@@ -14,6 +14,7 @@ from su3forms.report import ORDER_BAND, CheckResult, Ledger, VerificationReport,
 from su3forms.suites import (
     verify_cl_identities,
     verify_gray,
+    verify_linearized,
     verify_linearized_basis,
     verify_spectral,
 )
@@ -144,6 +145,36 @@ def test_failing_report_parses_strictly():
 def test_numpy_integer_counts_are_accepted(count):
     report = run_algebra_suite(count, mode="float")
     assert _strict_loads(report.to_json())["samples"] == 2
+
+
+#: the six suite entry points at one trial or sample, by the seed alone
+SEEDED_SUITES = {
+    "algebra": lambda seed: run_algebra_suite(1, seed=seed),
+    "gray": lambda seed: verify_gray(1, seed=seed),
+    "spectral": lambda seed: verify_spectral(1, seed=seed),
+    "linearized": lambda seed: verify_linearized(np.eye(7)[0], 1, seed=seed),
+    "linearized_basis": lambda seed: verify_linearized_basis(1, seed=seed),
+    "cl": lambda seed: verify_cl_identities(1, seed=seed),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SEEDED_SUITES))
+@pytest.mark.parametrize("seed", [True, 1.5, "x", None])
+def test_seeds_that_are_not_integers_are_rejected_on_entry(monkeypatch, suite, seed):
+    # True, 1.5 and "x" would seed `random` and be written into the report
+    def no_work(*args):
+        raise AssertionError("a rejected seed reached the samples")
+
+    monkeypatch.setattr("su3forms.suites._frames", no_work)
+    monkeypatch.setattr("su3forms.identities.CHECKS", (("none", no_work),))
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SEEDED_SUITES[suite](seed)
+
+
+@pytest.mark.parametrize("suite", sorted(SEEDED_SUITES))
+def test_numpy_integer_seed_writes_the_report_of_the_equal_int(suite):
+    run = SEEDED_SUITES[suite]
+    assert run(np.int64(3)).to_json() == run(3).to_json()
 
 
 #: sha256 of `run_algebra_suite(30, seed=11, mode=...).to_json()`.  A kernel

@@ -1,8 +1,8 @@
 """Source hygiene of the package, checked with the stdlib `ast` alone: no
 unused module-level import, no private module-level function or class that
 nothing calls, no public definition that only tests call, no export that
-fails to resolve, and no import of a package the project does not
-declare."""
+fails to resolve, no import of a package the project does not declare, and
+no local variable that is assigned and never read."""
 
 from __future__ import annotations
 
@@ -171,3 +171,29 @@ def test_only_declared_dependencies_are_imported():
         for name in sorted(set(_imported_roots(_tree(path))) - ALLOWED_IMPORTS)
     ]
     assert undeclared == []
+
+
+def _dead_locals(function: ast.FunctionDef) -> set[str]:
+    """Names a function (with its nested functions and comprehensions)
+    assigns but never reads, leaving out `_`."""
+    stored, loaded = set(), set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name):
+            (stored if isinstance(node.ctx, ast.Store) else loaded).add(node.id)
+    return stored - loaded - {"_"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_variable_is_read(path):
+    tree = _tree(path)
+    # each outermost function, so that a closure's reads count for its parent
+    functions = [
+        node
+        for stmt in _module_level(tree)
+        for node in ([stmt] if not isinstance(stmt, ast.ClassDef) else stmt.body)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    dead = [
+        f"{path.name}:{f.name}:{name}" for f in functions for name in sorted(_dead_locals(f))
+    ]
+    assert dead == []

@@ -59,8 +59,6 @@ from su3forms.structure import (
     decompose_two_form,
     endo_act,
     endo_from_two_form,
-    j_compose_left,
-    j_compose_right,
     lefschetz_contract,
     omega,
     psi_minus,
@@ -633,23 +631,24 @@ def test_decompositions_work_in_float_mode():
 # sym_plus two-form correspondence
 
 
-def test_j_compositions_match_matrix_products():
-    rng = random.Random(27)
-    a = Endo(
-        EXACT,
-        [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(DIM)] for _ in range(DIM)],
-    )
-    assert j_compose_left(a) == J @ a
-    assert j_compose_right(a) == a @ J
+@pytest.mark.parametrize("mode", MODES)
+def test_products_with_j_match_the_nested_sum_oracle(mode):
+    # each entry of J A and A J is one signed entry of A, so the float
+    # products are exact as well
+    j = complex_structure(mode)
+    a = Endo(mode, _matrix(random.Random(27), mode))
+    for s in (*sym_minus_basis(mode), a):
+        assert (j @ s).rows == _as_rows(matmul_oracle(j.rows, s.rows))
+        assert (s @ j).rows == _as_rows(matmul_oracle(s.rows, j.rows))
 
 
 def test_sym_plus_two_form_correspondence():
-    assert two_form_from_endo(j_compose_right(identity_endo())) == OMEGA
+    assert two_form_from_endo(identity_endo() @ J) == OMEGA
     assert sym_plus_from_two_form(OMEGA) == identity_endo()
     rng = random.Random(26)
     for _ in range(10):
         h = random_sym_plus(rng)
-        phi = two_form_from_endo(j_compose_right(h))
+        phi = two_form_from_endo(h @ J)
         assert type_project(phi, 1, 1) == phi
         assert sym_plus_from_two_form(phi) == h
         assert lefschetz_contract(phi).coeff(0) == h.trace() / 2
