@@ -11,7 +11,8 @@ the suite meets in one check only, so it must fail the product oracle
 too), a trace that forgets the denominator, and a sum that does not
 rescale its second operand to the common denominator.  A J with the signs
 of its signed permutation dropped must fail a pinned set of checks, since
-every composition with J is a product with `complex_structure()`.  An
+every composition with J is a product with `complex_structure()`; so must
+a J unsigned in the products J A only, or in A J only.  An
 element of u(3) outside su(3) in the spanning set of su(3) must fail
 `su3_invariance`.  A wrong eigenvalue of
 the squared J action corrupts the expectation of `type_projector_algebra`
@@ -245,6 +246,68 @@ def test_unsigned_complex_structure_is_caught(fresh_caches, monkeypatch):
     assert _failed_checks() == set()
     _unsign_j(monkeypatch)
     assert _failed_checks() == UNSIGNED_J_FAILURES
+
+
+_MATMUL = Endo.__matmul__
+
+
+def _unsigned_if_j(a: Endo) -> Endo:
+    j = structure.complex_structure(a.mode)
+    if a._den != j._den or a._nums != j._nums:
+        return a
+    return Endo._of(a.mode, map(abs, j._nums))
+
+
+def _unsigned_j_left(self: Endo, other: Endo) -> Endo:
+    return _MATMUL(_unsigned_if_j(self), other)
+
+
+def _unsigned_j_right(self: Endo, other: Endo) -> Endo:
+    return _MATMUL(self, _unsigned_if_j(other))
+
+
+# J with its signs dropped in the products J A (left) or A J (right) only;
+# the action of J on forms keeps its signs.  The S part of a 3-form, the
+# Sym^- test and the sampling of J-commuting endomorphisms are such
+# products, so the decompositions fail on either side
+J_COMPOSITION_DEFECTS = {
+    "j_compose_left": (
+        _unsigned_j_left,
+        {
+            "anti_endo_round_trip",
+            "jet_constraint_residuals",
+            "params_jet_round_trip",
+            "scaling_curve",
+            "su3_invariance",
+            "sym_minus_isomorphism",
+            "sym_minus_j_conjugation",
+            "sym_plus_action_trace",
+            "three_form_round_trip",
+        },
+    ),
+    "j_compose_right": (
+        _unsigned_j_right,
+        {
+            "anti_endo_round_trip",
+            "jet_constraint_residuals",
+            "params_jet_round_trip",
+            "scaling_curve",
+            "su3_invariance",
+            "sym_minus_isomorphism",
+            "sym_plus_action_trace",
+            "three_form_round_trip",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(J_COMPOSITION_DEFECTS))
+def test_unsigned_j_composition_is_caught(fresh_caches, monkeypatch, name):
+    defect, expected = J_COMPOSITION_DEFECTS[name]
+    assert _failed_checks() == set()
+    _clear_caches()
+    monkeypatch.setattr(Endo, "__matmul__", defect)
+    assert _failed_checks() == expected
 
 
 def test_kernel_defect_fails_checks_instead_of_crashing(
